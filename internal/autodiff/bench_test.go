@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"amalgam/internal/tensor"
 )
@@ -341,6 +342,45 @@ func BenchmarkLinearTrainStep(b *testing.B) {
 		Backward(loss)
 		Release(loss)
 	}
+}
+
+// BenchmarkLinearFused runs the fused Linear against the unfused
+// AddRowBias(MatMul) pair it replaced in nn.Linear, at the LM decoder
+// shape ([320×64]·[64×2000]: batch 16 × BPTT 20 rows onto a 2000-token
+// vocabulary). Both steps (forward, backward, Release) run alternately in
+// every iteration, so the reported unfused/fused ratio is a same-run
+// figure that machine noise shifts equally on both sides.
+func BenchmarkLinearFused(b *testing.B) {
+	rng := tensor.NewRNG(19)
+	x := tensor.New(320, 64)
+	w := tensor.New(64, 2000)
+	bias := tensor.New(2000)
+	rng.FillNormal(x, 0, 1)
+	rng.FillNormal(w, 0, 0.05)
+	rng.FillNormal(bias, 0, 0.05)
+	xN, wN, bN := Leaf(x), Leaf(w), Leaf(bias)
+	step := func(op func(x, w, b *Node) *Node) time.Duration {
+		start := time.Now()
+		xN.ZeroGrad()
+		wN.ZeroGrad()
+		bN.ZeroGrad()
+		loss := Mean(op(xN, wN, bN))
+		Backward(loss)
+		Release(loss)
+		return time.Since(start)
+	}
+	step(Linear) // warm the pool for both shapes' buffers
+	step(linearUnfused)
+	var fused, unfused time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fused += step(Linear)
+		unfused += step(linearUnfused)
+	}
+	b.ReportMetric(float64(fused.Nanoseconds())/float64(b.N), "fused-ns/step")
+	b.ReportMetric(float64(unfused.Nanoseconds())/float64(b.N), "unfused-ns/step")
+	b.ReportMetric(float64(unfused)/float64(fused), "speedup-x")
 }
 
 // tanhNaive is a frozen copy of the PR 2-era Tanh op (per-element float64

@@ -145,6 +145,34 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		}
 	})
 
+	t.Run("LinearFwdBwd", func(t *testing.T) {
+		run := func() (out, dx, dw, db *tensor.Tensor) {
+			rng := tensor.NewRNG(21)
+			x := tensor.New(33, 64) // odd row count: ragged four-row bias-grad tail
+			w := tensor.New(64, 45)
+			b := tensor.New(45)
+			rng.FillNormal(x, 0, 1)
+			rng.FillNormal(w, 0, 0.3)
+			rng.FillNormal(b, 0, 0.3)
+			xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
+			loss := Mean(Linear(xN, wN, bN))
+			Backward(loss)
+			out, dx, dw, db = loss.Val.Clone(), xN.Grad.Clone(), wN.Grad.Clone(), bN.Grad.Clone()
+			Release(loss)
+			return out, dx, dw, db
+		}
+		prev := tensor.SetMaxWorkers(1)
+		defer tensor.SetMaxWorkers(prev)
+		refOut, refDx, refDw, refDb := run()
+		for _, wk := range workerCounts {
+			tensor.SetMaxWorkers(wk)
+			out, dx, dw, db := run()
+			if !out.Equal(refOut) || !dx.Equal(refDx) || !dw.Equal(refDw) || !db.Equal(refDb) {
+				t.Errorf("workers=%d: Linear fwd/bwd not bit-identical to workers=1", wk)
+			}
+		}
+	})
+
 	t.Run("LinearReLUFwdBwd", func(t *testing.T) {
 		run := func() (out, dx, dw *tensor.Tensor) {
 			rng := tensor.NewRNG(20)

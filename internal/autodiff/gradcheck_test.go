@@ -117,6 +117,20 @@ func TestGradFusedActivationEpilogues(t *testing.T) {
 		loss := func() *Node { return MSE(AddChanBiasSigmoid(xN, bN), target) }
 		gradCheck(t, []*Node{xN, bN}, loss, 3e-2)
 	})
+	t.Run("Linear", func(t *testing.T) {
+		rng := tensor.NewRNG(66)
+		x := tensor.New(3, 4)
+		w := tensor.New(4, 5)
+		b := tensor.New(5)
+		rng.FillNormal(x, 0.3, 1)
+		rng.FillNormal(w, 0, 0.5)
+		rng.FillNormal(b, 0.2, 0.3)
+		target := tensor.New(3, 5)
+		rng.FillNormal(target, 0, 1)
+		xN, wN, bN := Leaf(x), Leaf(w), Leaf(b)
+		loss := func() *Node { return MSE(Linear(xN, wN, bN), target) }
+		gradCheck(t, []*Node{xN, wN, bN}, loss, 3e-2)
+	})
 	t.Run("LinearTanh", func(t *testing.T) {
 		rng := tensor.NewRNG(63)
 		x := tensor.New(3, 4)

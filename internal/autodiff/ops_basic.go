@@ -82,7 +82,9 @@ func AddN(nodes ...*Node) *Node {
 	return out
 }
 
-// AddRowBias adds a bias vector [D] to every row of a [N, D] matrix.
+// AddRowBias adds a bias vector [D] to every row of a [N, D] matrix. Models
+// run Linear instead; this unfused op stays as the reference the fused
+// ops are tested and benchmarked against.
 func AddRowBias(x, bias *Node) *Node {
 	n, d := x.Val.Dim(0), x.Val.Dim(1)
 	if bias.Val.Numel() != d {

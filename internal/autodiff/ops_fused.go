@@ -169,8 +169,30 @@ func LinearReLU(x, w, b *Node) *Node {
 	return out
 }
 
+// Linear computes x·W + b for x [N, In], w [In, Out], b [Out] as one node:
+// the matmul writes straight into the output buffer and the bias is added
+// in place over it. With no activation the node's own gradient is the
+// pre-activation gradient, so the backward hands out.Grad to the shared
+// epilogue backward with no staging buffer. Bit-identical to
+// AddRowBias(MatMul(x, w), b), values and gradients.
+func Linear(x, w, b *Node) *Node {
+	n, dIn := x.Val.Dim(0), x.Val.Dim(1)
+	dOut := w.Val.Dim(1)
+	if b.Val.Numel() != dOut {
+		panic(fmt.Sprintf("autodiff: Linear bias size %d, want %d", b.Val.Numel(), dOut))
+	}
+	val := tensor.Get(n, dOut)
+	tensor.MatMulInto(val, x.Val, w.Val)
+	tensor.AddRowBiasInto(val.Data, val.Data, b.Val.Data, n, dOut)
+	out := newPooledNode(val, []*Node{x, w, b}, nil)
+	out.backward = func() {
+		linearEpilogueBackward(x, w, b, out.Grad, n, dIn, dOut)
+	}
+	return out
+}
+
 // linearEpilogueBackward shares the dX/dW/dbias matmul backward of the
-// fused Linear→activation ops: dpre is the staged pre-activation gradient.
+// fused Linear ops: dpre is the pre-activation gradient.
 func linearEpilogueBackward(x, w, b *Node, dpre *tensor.Tensor, n, dIn, dOut int) {
 	if b.requiresGrad {
 		tensor.ColSumAddInto(b.ensureGrad().Data, dpre.Data, n, dOut)

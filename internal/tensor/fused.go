@@ -660,11 +660,25 @@ func ReLUMaskAddInto(dx, dy, y []float32) {
 	}
 }
 
+// colSumOnes are the unit row weights that turn the matmul axpy4 kernel
+// into a four-row column sum.
+var colSumOnes = [4]float32{1, 1, 1, 1}
+
 // ColSumAddInto accumulates dbias[j] += Σ_rows m[r, j] for m [rows, d] —
-// the bias gradient of a row-bias epilogue. Sequential ascending rows.
+// the bias gradient of a row-bias epilogue. Sequential ascending rows. The
+// SIMD path folds four rows per pass through axpy4SIMD with unit weights:
+// fma(1, m, acc) rounds exactly like acc + m and the kernel chains the
+// four rows in ascending order, so both paths agree bit for bit.
 func ColSumAddInto(dbias, m []float32, rows, d int) {
 	dbias = dbias[:d]
-	for r := 0; r < rows; r++ {
+	r := 0
+	if simdAvailable {
+		for ; r+4 <= rows; r += 4 {
+			axpy4SIMD(dbias, m[r*d:(r+1)*d], m[(r+1)*d:(r+2)*d],
+				m[(r+2)*d:(r+3)*d], m[(r+3)*d:(r+4)*d], &colSumOnes)
+		}
+	}
+	for ; r < rows; r++ {
 		row := m[r*d : (r+1)*d][:d]
 		for j := 0; j < d; j++ {
 			dbias[j] += row[j]

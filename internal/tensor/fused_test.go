@@ -434,6 +434,43 @@ func TestFusedBiasReLUKernels(t *testing.T) {
 	}
 }
 
+// TestColSumAddIntoSIMDMatchesScalar pins the bias-gradient column sum's
+// SIMD path (four rows per axpy4SIMD pass with unit weights) bit for bit
+// against the pure-Go scalar loop, over row counts that leave every
+// four-row remainder and column counts on and off the 8-lane width. The
+// inputs span several magnitudes so every add rounds, and the sums start
+// from a nonzero accumulator as they do across a backward.
+func TestColSumAddIntoSIMDMatchesScalar(t *testing.T) {
+	if !SIMDEnabled() {
+		t.Skip("AVX2 not available; SIMD dispatch not exercised")
+	}
+	rng := NewRNG(107)
+	for _, rows := range []int{0, 1, 3, 4, 5, 7, 8, 13, 33} {
+		for _, d := range []int{1, 3, 7, 8, 9, 17, 64, 100} {
+			m := New(rows, d)
+			rng.FillNormal(m, 0, 1)
+			for i := range m.Data {
+				m.Data[i] *= float32(math.Exp2(float64(i%7*4 - 12)))
+			}
+			init := New(d)
+			rng.FillNormal(init, 0, 3)
+			sum := func(simd bool) []float32 {
+				prev := setSIMD(simd)
+				defer setSIMD(prev)
+				dbias := append([]float32(nil), init.Data...)
+				ColSumAddInto(dbias, m.Data, rows, d)
+				return dbias
+			}
+			scalar, simd := sum(false), sum(true)
+			for j := range scalar {
+				if math.Float32bits(scalar[j]) != math.Float32bits(simd[j]) {
+					t.Fatalf("rows=%d d=%d col %d: SIMD %v, scalar %v", rows, d, j, simd[j], scalar[j])
+				}
+			}
+		}
+	}
+}
+
 // TestFusedKernelsDeterministicAcrossWorkers pins the contract for the new
 // kernel family: bit-identical outputs for any SetMaxWorkers value,
 // including counts that force uneven row/channel chunking.

@@ -33,8 +33,9 @@ const maxPoolBits = 28
 
 var pools [maxPoolBits + 1]sync.Pool
 
-// poolHits/poolMisses instrument Get for tests and benchmarks.
-var poolHits, poolMisses atomic.Int64
+// poolHits/poolMisses instrument Get, and poolPuts counts the Puts the
+// pool accepted, for tests and benchmarks.
+var poolHits, poolMisses, poolPuts atomic.Int64
 
 // Get returns a tensor of the given shape backed by recycled storage when
 // available. The contents are arbitrary garbage — callers must fully
@@ -87,6 +88,7 @@ func Put(t *Tensor) {
 		return
 	}
 	t.Data = t.Data[:c]
+	poolPuts.Add(1)
 	pools[bits.Len(uint(c))-1].Put(t)
 }
 
@@ -94,4 +96,14 @@ func Put(t *Tensor) {
 // allocations) since process start.
 func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
+}
+
+// PoolOutstanding reports pooled Gets minus accepted Puts since process
+// start: the buffers currently held outside the pool. Unlike the miss
+// count it is exact — sync.Pool keeps a private slot per P that a Get on
+// another P cannot see, so a goroutine that migrates can miss with nothing
+// leaked — which makes an unchanged value across repeated identical work
+// the precise steady-state leak check.
+func PoolOutstanding() int64 {
+	return poolHits.Load() + poolMisses.Load() - poolPuts.Load()
 }

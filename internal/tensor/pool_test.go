@@ -43,6 +43,28 @@ func TestPutForeignIgnored(t *testing.T) {
 	Put(&Tensor{})
 }
 
+// TestPoolOutstanding pins the leak counter: every pooled Get raises it,
+// every accepted Put lowers it, and the Puts the pool refuses (foreign
+// capacities, nil, zero-size) leave it alone.
+func TestPoolOutstanding(t *testing.T) {
+	base := PoolOutstanding()
+	a, b := Get(7, 9), GetZero(100)
+	if got := PoolOutstanding() - base; got != 2 {
+		t.Fatalf("after 2 Gets: outstanding +%d, want +2", got)
+	}
+	Put(a)
+	Put(FromSlice(make([]float32, 15), 15))
+	Put(nil)
+	Put(Get(0, 4))
+	if got := PoolOutstanding() - base; got != 1 {
+		t.Fatalf("after 1 accepted Put: outstanding +%d, want +1", got)
+	}
+	Put(b)
+	if got := PoolOutstanding() - base; got != 0 {
+		t.Fatalf("after returning every buffer: outstanding +%d, want 0", got)
+	}
+}
+
 func TestPoolZeroSize(t *testing.T) {
 	z := Get(0, 4)
 	if z.Numel() != 0 {
