@@ -103,6 +103,43 @@ func BenchmarkMatMulAT(bb *testing.B) {
 	}
 }
 
+// BenchmarkMatMulShapes runs the production matmul shapes of LM training
+// (decoy-head Linear forward and backward, attention, conv im2col) on one
+// worker and reports kernel throughput in GFLOP/s. Shapes read m×k×n: A·B
+// multiplies [m,k]·[k,n], A·Bᵀ [m,k]·[n,k]ᵀ and AᵀB [k,m]ᵀ·[k,n].
+func BenchmarkMatMulShapes(bb *testing.B) {
+	type shape struct{ m, k, n int }
+	ops := []struct {
+		name   string
+		fn     func(dst, a, b []float32, m, k, n int)
+		shapes []shape
+	}{
+		{"AB", MatMulRawInto, []shape{{304, 64, 2000}, {304, 18, 2000}, {304, 64, 64}, {19, 19, 32}, {32, 288, 64}}},
+		{"ABt", MatMulBTRawInto, []shape{{304, 2000, 64}, {304, 2000, 18}, {304, 64, 64}, {6, 1024, 75}}},
+		{"AtB", MatMulATRawInto, []shape{{64, 304, 2000}, {18, 304, 2000}, {288, 32, 64}}},
+	}
+	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(prev)
+	rng := NewRNG(42)
+	for _, op := range ops {
+		for _, s := range op.shapes {
+			bb.Run(fmt.Sprintf("%s/%dx%dx%d", op.name, s.m, s.k, s.n), func(bb *testing.B) {
+				a, b := New(s.m*s.k), New(s.k*s.n)
+				rng.FillNormal(a, 0, 1)
+				rng.FillNormal(b, 0, 1)
+				dst := make([]float32, s.m*s.n)
+				bb.ReportAllocs()
+				bb.ResetTimer()
+				for i := 0; i < bb.N; i++ {
+					op.fn(dst, a.Data, b.Data, s.m, s.k, s.n)
+				}
+				flops := 2 * float64(s.m) * float64(s.k) * float64(s.n) * float64(bb.N)
+				bb.ReportMetric(flops/bb.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
 // layerNormFwdNaive is a frozen copy of the PR 1 scalar LayerNorm forward
 // (per-op float64 passes); the ratio to BenchmarkLayerNormFwd is the
 // fused-kernel speedup the PR 2 trajectory records.

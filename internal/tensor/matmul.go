@@ -2,20 +2,23 @@ package tensor
 
 import "fmt"
 
-// The three matmul entry points share one kernel family: a register-tiled
-// saxpy kernel that processes two output rows per pass with the inner
-// k-loop unrolled 4× (axpy4x2 / axpy4), and a four-column dot kernel
-// (dot4) for the Bᵀ case. On amd64 with AVX2+FMA the kernels dispatch to
-// hand-written SIMD (see simd_amd64.s); everywhere else the pure-Go
-// versions below run, written so the compiler eliminates every
-// bounds check in the hot loops.
+// The three matmul entry points have two backends. On amd64 with AVX2+FMA
+// they run register-tiled micro-kernels (simd_amd64.s): A·B and Aᵀ·B share
+// a 4×16 tile that stays in YMM registers across the whole k loop and is
+// stored once, and A·Bᵀ uses a 3×4 tile of 8-lane dot products. Both read
+// A and B in place, with no packing. Everywhere else the pure-Go kernels
+// below run: two output rows per pass with the k loop unrolled 4×
+// (axpy4x2 / axpy4) for A·B and Aᵀ·B and a scalar dot (dot1) for A·Bᵀ,
+// written so the compiler eliminates every bounds check in the hot loops.
 //
 // Determinism contract: for a given binary on a given machine, the
-// accumulation order of every output element is fixed by (i, j, k) alone —
-// parallelFor only partitions disjoint output rows, and the single-row
-// remainder kernels use the exact same per-element operation chains as the
-// paired kernels — so results are bit-identical for any SetMaxWorkers
-// value.
+// operation chain of every output element is fixed by (i, j, k) alone. On
+// the SIMD path an A·B or Aᵀ·B element is an FMA chain in ascending p over
+// p < k&^3 from +0, then an unfused multiply and add per remaining p; an
+// A·Bᵀ element sums p ≡ l (mod 8) in lane l with FMAs, folds lanes l+4
+// into l, FMAs the k%8 tail into lane 0 and returns (l0+l1)+(l2+l3). Tiles
+// and workers only partition disjoint outputs, so results are
+// bit-identical for any SetMaxWorkers value.
 
 // matmulShapes panics unless a and b are 2-D and agree on the contracted
 // dimension (dimension aShared of a against bShared of b). It is the shared
@@ -32,19 +35,123 @@ func checkOutShape(op string, out *Tensor, m, n int) {
 	}
 }
 
-// matmulRowsPerWorker picks a minimum per-goroutine row count so tiny
-// multiplies stay single-threaded.
+// matmulMACsPerWorker is the least multiply-accumulate work worth handing
+// to a worker, so tiny multiplies stay single-threaded.
+const matmulMACsPerWorker = 1 << 15
+
+// matmulRowsPerWorker picks a minimum per-goroutine row count for the
+// pure-Go kernels.
 func matmulRowsPerWorker(k, n int) int {
 	work := k * n
 	if work <= 0 {
 		return 1
 	}
-	const targetFlopsPerWorker = 1 << 15
-	rows := targetFlopsPerWorker / work
-	if rows < 1 {
-		rows = 1
+	return max(matmulMACsPerWorker/work, 1)
+}
+
+// Output tile sizes of the SIMD kernels: gemmPanelSIMD (A·B, Aᵀ·B) and
+// dotPanelSIMD (A·Bᵀ).
+const (
+	gemmTileRows, gemmTileCols = 4, 16
+	dotTileRows, dotTileCols   = 3, 4
+)
+
+// gemmBlockBytes bounds the slice of B one pass of gemmPanelSIMD row blocks
+// sweeps, so it stays in L2 while every row block of the pass reuses it.
+// Unblocked, each row block of the k = 304 weight gradients streams all of
+// B (304×2000 floats, 2.4 MB) again, and Aᵀ·B at 18×304×2000 ran slower
+// than the axpy kernels it replaces.
+const gemmBlockBytes = 256 << 10
+
+// tileSplit partitions an m×n output across workers in whole tiles: by
+// blocks of tr rows, or by strips of tc columns when the strips are more
+// numerous. Each worker gets at least per units so tiny products stay
+// serial.
+type tileSplit struct {
+	m, n, tr, tc, units, per int
+	byRows                   bool
+}
+
+func newTileSplit(m, k, n, tr, tc int) tileSplit {
+	s := tileSplit{m: m, n: n, tr: tr, tc: tc}
+	rowBlocks, colStrips := (m+tr-1)/tr, (n+tc-1)/tc
+	s.byRows = rowBlocks >= colStrips
+	unitMACs := k * tc * m
+	s.units = colStrips
+	if s.byRows {
+		s.units, unitMACs = rowBlocks, k*tr*n
 	}
-	return rows
+	s.per = max(matmulMACsPerWorker/unitMACs, 1)
+	return s
+}
+
+// bounds maps the unit range [u0, u1) to its output rows and columns.
+func (s tileSplit) bounds(u0, u1 int) (r0, r1, c0, c1 int) {
+	if s.byRows {
+		return u0 * s.tr, min(u1*s.tr, s.m), 0, s.n
+	}
+	return 0, s.m, u0 * s.tc, min(u1*s.tc, s.n)
+}
+
+// gemmSIMD computes dst = A·b on the register-tiled kernel, where b is
+// [k, n] and A(i, p) = a[i*ars+p*acs], so A·B (ars = k, acs = 1) and Aᵀ·B
+// (ars = 1, acs = m) share it.
+func gemmSIMD(dst, a, b []float32, m, k, n, ars, acs int) {
+	if k == 0 {
+		zeroFloats(dst[:m*n])
+		return
+	}
+	s := newTileSplit(m, k, n, gemmTileRows, gemmTileCols)
+	if chunksFor(s.units, s.per) <= 1 {
+		// Called directly, not through parallelFor, so the serial path
+		// builds no escaping closure and allocates nothing.
+		gemmTiles(dst, a, b, k, n, ars, acs, 0, m, 0, n)
+		return
+	}
+	parallelFor(s.units, s.per, func(u0, u1 int) {
+		r0, r1, c0, c1 := s.bounds(u0, u1)
+		gemmTiles(dst, a, b, k, n, ars, acs, r0, r1, c0, c1)
+	})
+}
+
+// gemmTiles computes output rows [r0, r1) × columns [c0, c1) of gemmSIMD,
+// one gemmPanelSIMD call per 4-row block and column block.
+func gemmTiles(dst, a, b []float32, k, n, ars, acs, r0, r1, c0, c1 int) {
+	nc := max(gemmBlockBytes/(4*k)&^(gemmTileCols-1), gemmTileCols)
+	for jc := c0; jc < c1; jc += nc {
+		w := min(nc, c1-jc)
+		for i := r0; i < r1; i += gemmTileRows {
+			last := min(gemmTileRows, r1-i) - 1
+			gemmPanelSIMD(&dst[i*n+jc], &a[i*ars], &b[jc], k, w, n, acs,
+				min(1, last)*ars, min(2, last)*ars, min(3, last)*ars, last+1)
+		}
+	}
+}
+
+// dotSIMD computes dst = a·bᵀ for a [m, k] and b [n, k] on the 3×4 dot
+// tile kernel.
+func dotSIMD(dst, a, b []float32, m, k, n int) {
+	if k == 0 {
+		zeroFloats(dst[:m*n])
+		return
+	}
+	s := newTileSplit(m, k, n, dotTileRows, dotTileCols)
+	if chunksFor(s.units, s.per) <= 1 {
+		dotTiles(dst, a, b, k, n, 0, m, 0, n)
+		return
+	}
+	parallelFor(s.units, s.per, func(u0, u1 int) {
+		r0, r1, c0, c1 := s.bounds(u0, u1)
+		dotTiles(dst, a, b, k, n, r0, r1, c0, c1)
+	})
+}
+
+// dotTiles computes output rows [r0, r1) × columns [c0, c1) of dotSIMD,
+// one dotPanelSIMD call per 3-row block.
+func dotTiles(dst, a, b []float32, k, n, r0, r1, c0, c1 int) {
+	for i := r0; i < r1; i += dotTileRows {
+		dotPanelSIMD(&dst[i*n+c0], &a[i*k], &b[c0*k], k, c1-c0, n, min(dotTileRows, r1-i))
+	}
 }
 
 // MatMul returns a × b for a of shape [m, k] and b of shape [k, n].
@@ -74,6 +181,10 @@ func MatMulInto(out, a, b *Tensor) {
 func MatMulRawInto(dst, a, b []float32, m, k, n int) {
 	checkRawSizes("MatMulRawInto", len(dst), len(a), len(b), m*n, m*k, k*n)
 	if m == 0 || n == 0 {
+		return
+	}
+	if simdAvailable {
+		gemmSIMD(dst, a, b, m, k, n, k, 1)
 		return
 	}
 	rpw := matmulRowsPerWorker(k, n)
@@ -109,23 +220,12 @@ func matmulRowRange(od, ad, bd []float32, k, n, r0, r1 int) {
 		arow0 := ad[i*k : (i+1)*k]
 		arow1 := ad[(i+1)*k : (i+2)*k]
 		p := 0
-		if simdAvailable {
-			var av [8]float32
-			for ; p+4 <= k; p += 4 {
-				av[0], av[1], av[2], av[3] = arow0[p], arow0[p+1], arow0[p+2], arow0[p+3]
-				av[4], av[5], av[6], av[7] = arow1[p], arow1[p+1], arow1[p+2], arow1[p+3]
-				axpy4x2SIMD(d0, d1,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n], &av)
-			}
-		} else {
-			for ; p+4 <= k; p += 4 {
-				axpy4x2Generic(d0, d1,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
-					arow0[p], arow0[p+1], arow0[p+2], arow0[p+3],
-					arow1[p], arow1[p+1], arow1[p+2], arow1[p+3])
-			}
+		for ; p+4 <= k; p += 4 {
+			axpy4x2Generic(d0, d1,
+				bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
+				bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
+				arow0[p], arow0[p+1], arow0[p+2], arow0[p+3],
+				arow1[p], arow1[p+1], arow1[p+2], arow1[p+3])
 		}
 		for ; p < k; p++ {
 			axpy1(d0, bd[p*n:p*n+n], arow0[p])
@@ -137,21 +237,11 @@ func matmulRowRange(od, ad, bd []float32, k, n, r0, r1 int) {
 		zeroFloats(d0)
 		arow := ad[i*k : (i+1)*k]
 		p := 0
-		if simdAvailable {
-			var av [4]float32
-			for ; p+4 <= k; p += 4 {
-				av[0], av[1], av[2], av[3] = arow[p], arow[p+1], arow[p+2], arow[p+3]
-				axpy4SIMD(d0,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n], &av)
-			}
-		} else {
-			for ; p+4 <= k; p += 4 {
-				axpy4Generic(d0,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
-					arow[p], arow[p+1], arow[p+2], arow[p+3])
-			}
+		for ; p+4 <= k; p += 4 {
+			axpy4Generic(d0,
+				bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
+				bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
+				arow[p], arow[p+1], arow[p+2], arow[p+3])
 		}
 		for ; p < k; p++ {
 			axpy1(d0, bd[p*n:p*n+n], arow[p])
@@ -186,6 +276,10 @@ func MatMulBTRawInto(dst, a, b []float32, m, k, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
+	if simdAvailable {
+		dotSIMD(dst, a, b, m, k, n)
+		return
+	}
 	rpw := matmulRowsPerWorker(k, n)
 	if chunksFor(m, rpw) <= 1 {
 		matmulBTRowRange(dst, a, b, k, n, 0, m)
@@ -200,17 +294,7 @@ func matmulBTRowRange(dst, a, b []float32, k, n, r0, r1 int) {
 	for i := r0; i < r1; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := dst[i*n : i*n+n]
-		j := 0
-		if simdAvailable {
-			var o4 [4]float32
-			for ; j+4 <= n; j += 4 {
-				dot4SIMD(arow,
-					b[j*k:j*k+k], b[(j+1)*k:(j+1)*k+k],
-					b[(j+2)*k:(j+2)*k+k], b[(j+3)*k:(j+3)*k+k], &o4)
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = o4[0], o4[1], o4[2], o4[3]
-			}
-		}
-		for ; j < n; j++ {
+		for j := range orow {
 			orow[j] = dot1(arow, b[j*k:j*k+k])
 		}
 	}
@@ -243,6 +327,10 @@ func MatMulATRawInto(dst, a, b []float32, m, k, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
+	if simdAvailable {
+		gemmSIMD(dst, a, b, m, k, n, 1, m)
+		return
+	}
 	rpw := matmulRowsPerWorker(k, n)
 	if chunksFor(m, rpw) <= 1 {
 		matmulATRowRange(dst, a, b, m, k, n, 0, m)
@@ -262,23 +350,12 @@ func matmulATRowRange(dst, a, b []float32, m, k, n, r0, r1 int) {
 		zeroFloats(d0)
 		zeroFloats(d1)
 		p := 0
-		if simdAvailable {
-			var av [8]float32
-			for ; p+4 <= k; p += 4 {
-				av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
-				av[4], av[5], av[6], av[7] = ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1]
-				axpy4x2SIMD(d0, d1,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n], &av)
-			}
-		} else {
-			for ; p+4 <= k; p += 4 {
-				axpy4x2Generic(d0, d1,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
-					ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i],
-					ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1])
-			}
+		for ; p+4 <= k; p += 4 {
+			axpy4x2Generic(d0, d1,
+				bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
+				bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
+				ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i],
+				ad[p*m+i+1], ad[(p+1)*m+i+1], ad[(p+2)*m+i+1], ad[(p+3)*m+i+1])
 		}
 		for ; p < k; p++ {
 			axpy1(d0, bd[p*n:p*n+n], ad[p*m+i])
@@ -289,21 +366,11 @@ func matmulATRowRange(dst, a, b []float32, m, k, n, r0, r1 int) {
 		d0 := od[i*n : i*n+n]
 		zeroFloats(d0)
 		p := 0
-		if simdAvailable {
-			var av [4]float32
-			for ; p+4 <= k; p += 4 {
-				av[0], av[1], av[2], av[3] = ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i]
-				axpy4SIMD(d0,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n], &av)
-			}
-		} else {
-			for ; p+4 <= k; p += 4 {
-				axpy4Generic(d0,
-					bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
-					bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
-					ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i])
-			}
+		for ; p+4 <= k; p += 4 {
+			axpy4Generic(d0,
+				bd[p*n:p*n+n], bd[(p+1)*n:(p+1)*n+n],
+				bd[(p+2)*n:(p+2)*n+n], bd[(p+3)*n:(p+3)*n+n],
+				ad[p*m+i], ad[(p+1)*m+i], ad[(p+2)*m+i], ad[(p+3)*m+i])
 		}
 		for ; p < k; p++ {
 			axpy1(d0, bd[p*n:p*n+n], ad[p*m+i])
@@ -358,9 +425,9 @@ func axpy1(d, b []float32, av float32) {
 	}
 }
 
-// dot1 is the scalar dot product used for the n%4 remainder columns of
-// MatMulBT. Four partial accumulators break the add latency chain; the
-// final combine order is fixed.
+// dot1 is the scalar dot product of the pure-Go MatMulBT. Four partial
+// accumulators break the add latency chain; the final combine order is
+// fixed.
 func dot1(a, b []float32) float32 {
 	q := b[:len(a)]
 	var s0, s1, s2, s3 float32

@@ -76,22 +76,58 @@ func TestMatMulKernels(t *testing.T) {
 }
 
 // TestMatMulSIMDMatchesGeneric cross-checks the assembly kernels against
-// the pure-Go kernels (tolerance only — FMA rounds differently).
+// the pure-Go kernels for all three entry points, on shapes ragged against
+// every tile edge (tolerance only — FMA rounds differently).
 func TestMatMulSIMDMatchesGeneric(t *testing.T) {
 	if !SIMDEnabled() {
 		t.Skip("SIMD not available on this machine")
 	}
 	rng := NewRNG(11)
-	a := New(31, 45)
-	b := New(45, 27)
-	rng.FillNormal(a, 0, 1)
-	rng.FillNormal(b, 0, 1)
-	simd := MatMul(a, b)
-	prev := setSIMD(false)
-	generic := MatMul(a, b)
-	setSIMD(prev)
-	if !simd.AllClose(generic, 1e-3) {
-		t.Fatalf("SIMD vs generic diff %v", simd.MaxAbsDiff(generic))
+	for _, s := range []struct{ m, k, n int }{{31, 45, 27}, {7, 33, 19}, {5, 17, 3}, {19, 19, 32}, {13, 70, 41}} {
+		a, b := New(s.m, s.k), New(s.k, s.n)
+		bt, at := New(s.n, s.k), New(s.k, s.m)
+		for _, x := range []*Tensor{a, b, bt, at} {
+			rng.FillNormal(x, 0, 1)
+		}
+		for _, c := range []struct {
+			name string
+			fn   func() *Tensor
+		}{
+			{"MatMul", func() *Tensor { return MatMul(a, b) }},
+			{"MatMulBT", func() *Tensor { return MatMulBT(a, bt) }},
+			{"MatMulAT", func() *Tensor { return MatMulAT(at, b) }},
+		} {
+			simd := c.fn()
+			prev := setSIMD(false)
+			generic := c.fn()
+			setSIMD(prev)
+			if !simd.AllClose(generic, 1e-3) {
+				t.Errorf("%s %v: SIMD vs generic diff %v", c.name, s, simd.MaxAbsDiff(generic))
+			}
+		}
+	}
+}
+
+// TestMatMulRawIntoSerialAllocs pins the serial path of all three raw
+// entry points, on both backends, at zero allocations: hot loops (im2col
+// convolution, batched attention) call them once per image or head.
+func TestMatMulRawIntoSerialAllocs(t *testing.T) {
+	prevW := SetMaxWorkers(1)
+	defer SetMaxWorkers(prevW)
+	const m, k, n = 19, 37, 45
+	a, b, dst := make([]float32, m*k), make([]float32, k*n), make([]float32, m*n)
+	for _, simd := range []bool{true, false} {
+		prev := setSIMD(simd)
+		for name, fn := range map[string]func(){
+			"MatMulRawInto":   func() { MatMulRawInto(dst, a, b, m, k, n) },
+			"MatMulBTRawInto": func() { MatMulBTRawInto(dst, a, b, m, k, n) },
+			"MatMulATRawInto": func() { MatMulATRawInto(dst, a, b, m, k, n) },
+		} {
+			if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
+				t.Errorf("%s (simd=%v): %v allocs/op on the serial path, want 0", name, SIMDEnabled(), allocs)
+			}
+		}
+		setSIMD(prev)
 	}
 }
 
@@ -122,7 +158,11 @@ func TestMatMulShapePanics(t *testing.T) {
 // all three matmul variants, at shapes that split unevenly across chunks.
 func TestMatMulDeterministicAcrossWorkers(t *testing.T) {
 	rng := NewRNG(17)
-	for _, s := range []struct{ m, k, n int }{{64, 64, 64}, {33, 13, 29}, {7, 129, 65}} {
+	for _, s := range []struct{ m, k, n int }{
+		{64, 64, 64}, {33, 13, 29}, {7, 129, 65},
+		// tile edges and the column-strip split: few row blocks, many strips
+		{18, 304, 2000}, {6, 1024, 75}, {19, 19, 32},
+	} {
 		a := New(s.m, s.k)
 		b := New(s.k, s.n)
 		bt := New(s.n, s.k)

@@ -20,13 +20,13 @@ func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func axpy4x2SIMD(d0, d1, b0, b1, b2, b3 []float32, a *[8]float32)
-
-//go:noescape
 func axpy4SIMD(d, b0, b1, b2, b3 []float32, a *[4]float32)
 
 //go:noescape
-func dot4SIMD(a, b0, b1, b2, b3 []float32, out *[4]float32)
+func gemmPanelSIMD(dst, a, b *float32, k, w, ld, acs, off1, off2, off3, rows int)
+
+//go:noescape
+func dotPanelSIMD(dst, a, b *float32, k, w, ldo, rows int)
 
 //go:noescape
 func expRowSumSIMD(dst, src []float32, maxv float32) float64

@@ -19,85 +19,10 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func axpy4x2SIMD(d0, d1, b0, b1, b2, b3 []float32, a *[8]float32)
-//
-// d0[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j]
-// d1[j] += a[4]*b0[j] + a[5]*b1[j] + a[6]*b2[j] + a[7]*b3[j]
-// for j in [0, len(d0)). Uses FMA: each term is fused, chained in fixed
-// ascending order, so results are deterministic for a given binary.
-TEXT ·axpy4x2SIMD(SB), NOSPLIT, $0-152
-	MOVQ d0_base+0(FP), DI
-	MOVQ d0_len+8(FP), CX
-	MOVQ d1_base+24(FP), R11
-	MOVQ b0_base+48(FP), SI
-	MOVQ b1_base+72(FP), R8
-	MOVQ b2_base+96(FP), R9
-	MOVQ b3_base+120(FP), R10
-	MOVQ a+144(FP), DX
-	VBROADCASTSS 0(DX), Y0
-	VBROADCASTSS 4(DX), Y1
-	VBROADCASTSS 8(DX), Y2
-	VBROADCASTSS 12(DX), Y3
-	VBROADCASTSS 16(DX), Y4
-	VBROADCASTSS 20(DX), Y5
-	VBROADCASTSS 24(DX), Y6
-	VBROADCASTSS 28(DX), Y7
-	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
-	CMPQ BX, $0
-	JEQ  tail
-loop8:
-	VMOVUPS (SI)(AX*4), Y8
-	VMOVUPS (R8)(AX*4), Y9
-	VMOVUPS (R9)(AX*4), Y10
-	VMOVUPS (R10)(AX*4), Y11
-	VMOVUPS (DI)(AX*4), Y12
-	VMOVUPS (R11)(AX*4), Y13
-	VFMADD231PS Y8, Y0, Y12
-	VFMADD231PS Y9, Y1, Y12
-	VFMADD231PS Y10, Y2, Y12
-	VFMADD231PS Y11, Y3, Y12
-	VFMADD231PS Y8, Y4, Y13
-	VFMADD231PS Y9, Y5, Y13
-	VFMADD231PS Y10, Y6, Y13
-	VFMADD231PS Y11, Y7, Y13
-	VMOVUPS Y12, (DI)(AX*4)
-	VMOVUPS Y13, (R11)(AX*4)
-	ADDQ $8, AX
-	CMPQ AX, BX
-	JLT  loop8
-tail:
-	CMPQ AX, CX
-	JGE  done
-tailloop:
-	VMOVSS (SI)(AX*4), X8
-	VMOVSS (R8)(AX*4), X9
-	VMOVSS (R9)(AX*4), X10
-	VMOVSS (R10)(AX*4), X11
-	VMOVSS (DI)(AX*4), X12
-	VMOVSS (R11)(AX*4), X13
-	VFMADD231SS X8, X0, X12
-	VFMADD231SS X9, X1, X12
-	VFMADD231SS X10, X2, X12
-	VFMADD231SS X11, X3, X12
-	VFMADD231SS X8, X4, X13
-	VFMADD231SS X9, X5, X13
-	VFMADD231SS X10, X6, X13
-	VFMADD231SS X11, X7, X13
-	VMOVSS X12, (DI)(AX*4)
-	VMOVSS X13, (R11)(AX*4)
-	INCQ AX
-	CMPQ AX, CX
-	JLT  tailloop
-done:
-	VZEROUPPER
-	RET
-
 // func axpy4SIMD(d, b0, b1, b2, b3 []float32, a *[4]float32)
 //
 // d[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j]
-// Identical per-element FMA chain to row 0 of axpy4x2SIMD.
+// Per element: one FMA per term, chained in ascending order.
 TEXT ·axpy4SIMD(SB), NOSPLIT, $0-128
 	MOVQ d_base+0(FP), DI
 	MOVQ d_len+8(FP), CX
@@ -150,82 +75,427 @@ done1:
 	VZEROUPPER
 	RET
 
-// func dot4SIMD(a, b0, b1, b2, b3 []float32, out *[4]float32)
+// VMASKMOVPS lane masks: the 8 lanes loaded from maskTable<>+4*(8-w)
+// are w all-ones lanes followed by zeros (the first 4 of them for XMM).
+DATA maskTable<>+0(SB)/4, $0xffffffff
+DATA maskTable<>+4(SB)/4, $0xffffffff
+DATA maskTable<>+8(SB)/4, $0xffffffff
+DATA maskTable<>+12(SB)/4, $0xffffffff
+DATA maskTable<>+16(SB)/4, $0xffffffff
+DATA maskTable<>+20(SB)/4, $0xffffffff
+DATA maskTable<>+24(SB)/4, $0xffffffff
+DATA maskTable<>+28(SB)/4, $0xffffffff
+DATA maskTable<>+32(SB)/4, $0
+DATA maskTable<>+36(SB)/4, $0
+DATA maskTable<>+40(SB)/4, $0
+DATA maskTable<>+44(SB)/4, $0
+DATA maskTable<>+48(SB)/4, $0
+DATA maskTable<>+52(SB)/4, $0
+DATA maskTable<>+56(SB)/4, $0
+DATA maskTable<>+60(SB)/4, $0
+GLOBL maskTable<>(SB), RODATA, $64
+
+// func gemmPanelSIMD(dst, a, b *float32, k, w, ld, acs, off1, off2, off3, rows int)
 //
-// out[r] = Σ_p a[p]*br[p], each accumulated in 8 SIMD lanes with FMA.
-// The high four lanes are folded into the low four BEFORE the scalar tail
-// loop: the VEX.128 tail FMAs zero bits 128-255 of their destination YMM
-// register, so folding first is required for correctness, not style. The
-// tail then accumulates into lane 0 and a fixed shuffle order reduces the
-// rest. Deterministic for a given binary.
-TEXT ·dot4SIMD(SB), NOSPLIT, $0-128
-	MOVQ a_base+0(FP), DI
-	MOVQ a_len+8(FP), CX
-	MOVQ b0_base+24(FP), SI
-	MOVQ b1_base+48(FP), R8
-	MOVQ b2_base+72(FP), R9
-	MOVQ b3_base+96(FP), R10
-	MOVQ out+120(FP), DX
+// For r < rows and j < w:
+//
+//	dst[r*ld+j] = Σ_{p<k} A(r, p) * b[p*ld+j],  A(r, p) = a[off_r + p*acs]
+//
+// with off_0 = 0, so one kernel serves A·B (off_r = r*k, acs = 1) and
+// Aᵀ·B (off_r = r, acs = m) without packing. Each 4×16 output tile is held
+// in Y0..Y7 for the whole k loop and stored once; the last w%16 columns go
+// through 4×8 tiles with masked loads and stores. Per element the chain is
+// fixed: FMA in ascending p over p < k&^3 starting from +0, then an
+// unfused multiply and add for each remaining p. Rows past rows alias an
+// earlier row (the caller sets their offsets) and are not stored.
+TEXT ·gemmPanelSIMD(SB), NOSPLIT, $0-88
+	MOVQ dst+0(FP), DI
+	MOVQ b+16(FP), SI
+	MOVQ k+24(FP), CX
+	MOVQ w+32(FP), DX
+	MOVQ ld+40(FP), R13
+	SHLQ $2, R13
+	MOVQ acs+48(FP), R14
+	SHLQ $2, R14
+	MOVQ off1+56(FP), R9
+	SHLQ $2, R9
+	MOVQ off2+64(FP), R10
+	SHLQ $2, R10
+	MOVQ off3+72(FP), R11
+	SHLQ $2, R11
+	MOVQ CX, BX
+	ANDQ $-4, BX
+
+g16:
+	CMPQ DX, $16
+	JLT  g8
+	MOVQ a+8(FP), R8
+	MOVQ SI, R12
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ AX, AX
+	CMPQ AX, BX
+	JGE  g16mulck
+
+g16fma:
+	VMOVUPS (R12), Y8
+	VMOVUPS 32(R12), Y9
+	VBROADCASTSS (R8), Y10
+	VBROADCASTSS (R8)(R9*1), Y11
+	VBROADCASTSS (R8)(R10*1), Y12
+	VBROADCASTSS (R8)(R11*1), Y13
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
+	ADDQ R14, R8
+	ADDQ R13, R12
+	INCQ AX
+	CMPQ AX, BX
+	JLT  g16fma
+
+g16mulck:
+	CMPQ AX, CX
+	JGE  g16store
+
+g16mul:
+	VMOVUPS (R12), Y8
+	VMOVUPS 32(R12), Y9
+	VBROADCASTSS (R8), Y10
+	VMULPS Y8, Y10, Y14
+	VMULPS Y9, Y10, Y15
+	VADDPS Y14, Y0, Y0
+	VADDPS Y15, Y1, Y1
+	VBROADCASTSS (R8)(R9*1), Y10
+	VMULPS Y8, Y10, Y14
+	VMULPS Y9, Y10, Y15
+	VADDPS Y14, Y2, Y2
+	VADDPS Y15, Y3, Y3
+	VBROADCASTSS (R8)(R10*1), Y10
+	VMULPS Y8, Y10, Y14
+	VMULPS Y9, Y10, Y15
+	VADDPS Y14, Y4, Y4
+	VADDPS Y15, Y5, Y5
+	VBROADCASTSS (R8)(R11*1), Y10
+	VMULPS Y8, Y10, Y14
+	VMULPS Y9, Y10, Y15
+	VADDPS Y14, Y6, Y6
+	VADDPS Y15, Y7, Y7
+	ADDQ R14, R8
+	ADDQ R13, R12
+	INCQ AX
+	CMPQ AX, CX
+	JLT  g16mul
+
+g16store:
+	MOVQ rows+80(FP), AX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	CMPQ AX, $2
+	JLT  g16next
+	VMOVUPS Y2, (DI)(R13*1)
+	VMOVUPS Y3, 32(DI)(R13*1)
+	CMPQ AX, $3
+	JLT  g16next
+	LEAQ (DI)(R13*2), R12
+	VMOVUPS Y4, (R12)
+	VMOVUPS Y5, 32(R12)
+	CMPQ AX, $4
+	JLT  g16next
+	VMOVUPS Y6, (R12)(R13*1)
+	VMOVUPS Y7, 32(R12)(R13*1)
+
+g16next:
+	ADDQ $64, DI
+	ADDQ $64, SI
+	SUBQ $16, DX
+	JMP  g16
+
+g8:
+	CMPQ DX, $0
+	JLE  gdone
+	MOVQ DX, AX
+	CMPQ AX, $8
+	JLE  g8mask
+	MOVQ $8, AX
+
+g8mask:
+	NEGQ AX
+	LEAQ maskTable<>+32(SB), R12
+	VMOVUPS (R12)(AX*4), Y15
+	MOVQ a+8(FP), R8
+	MOVQ SI, R12
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
 	XORQ AX, AX
-	MOVQ CX, BX
-	ANDQ $-8, BX
-	CMPQ BX, $0
-	JEQ  dtail
-dloop8:
-	VMOVUPS (DI)(AX*4), Y8
-	VMOVUPS (SI)(AX*4), Y9
-	VMOVUPS (R8)(AX*4), Y10
-	VMOVUPS (R9)(AX*4), Y11
-	VMOVUPS (R10)(AX*4), Y12
-	VFMADD231PS Y9, Y8, Y0
-	VFMADD231PS Y10, Y8, Y1
-	VFMADD231PS Y11, Y8, Y2
-	VFMADD231PS Y12, Y8, Y3
-	ADDQ $8, AX
 	CMPQ AX, BX
-	JLT  dloop8
-dtail:
-	// fold hi128 into lo128 before any VEX.128 op touches Y0..Y3
-	VEXTRACTF128 $1, Y0, X8
-	VADDPS X8, X0, X0
-	VEXTRACTF128 $1, Y1, X8
-	VADDPS X8, X1, X1
-	VEXTRACTF128 $1, Y2, X8
-	VADDPS X8, X2, X2
-	VEXTRACTF128 $1, Y3, X8
-	VADDPS X8, X3, X3
+	JGE  g8mulck
+
+g8fma:
+	VMASKMOVPS (R12), Y15, Y8
+	VBROADCASTSS (R8), Y10
+	VBROADCASTSS (R8)(R9*1), Y11
+	VBROADCASTSS (R8)(R10*1), Y12
+	VBROADCASTSS (R8)(R11*1), Y13
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y8, Y11, Y1
+	VFMADD231PS Y8, Y12, Y2
+	VFMADD231PS Y8, Y13, Y3
+	ADDQ R14, R8
+	ADDQ R13, R12
+	INCQ AX
+	CMPQ AX, BX
+	JLT  g8fma
+
+g8mulck:
 	CMPQ AX, CX
-	JGE  dreduce
-dtailloop:
-	VMOVSS (DI)(AX*4), X8
-	VMOVSS (SI)(AX*4), X9
-	VMOVSS (R8)(AX*4), X10
-	VMOVSS (R9)(AX*4), X11
-	VMOVSS (R10)(AX*4), X12
-	VFMADD231SS X9, X8, X0
-	VFMADD231SS X10, X8, X1
-	VFMADD231SS X11, X8, X2
-	VFMADD231SS X12, X8, X3
+	JGE  g8store
+
+g8mul:
+	VMASKMOVPS (R12), Y15, Y8
+	VBROADCASTSS (R8), Y10
+	VMULPS Y8, Y10, Y14
+	VADDPS Y14, Y0, Y0
+	VBROADCASTSS (R8)(R9*1), Y10
+	VMULPS Y8, Y10, Y14
+	VADDPS Y14, Y1, Y1
+	VBROADCASTSS (R8)(R10*1), Y10
+	VMULPS Y8, Y10, Y14
+	VADDPS Y14, Y2, Y2
+	VBROADCASTSS (R8)(R11*1), Y10
+	VMULPS Y8, Y10, Y14
+	VADDPS Y14, Y3, Y3
+	ADDQ R14, R8
+	ADDQ R13, R12
 	INCQ AX
 	CMPQ AX, CX
-	JLT  dtailloop
+	JLT  g8mul
+
+g8store:
+	MOVQ rows+80(FP), AX
+	VMASKMOVPS Y0, Y15, (DI)
+	CMPQ AX, $2
+	JLT  g8next
+	VMASKMOVPS Y1, Y15, (DI)(R13*1)
+	CMPQ AX, $3
+	JLT  g8next
+	LEAQ (DI)(R13*2), R12
+	VMASKMOVPS Y2, Y15, (R12)
+	CMPQ AX, $4
+	JLT  g8next
+	VMASKMOVPS Y3, Y15, (R12)(R13*1)
+
+g8next:
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, DX
+	JMP  g8
+
+gdone:
+	VZEROUPPER
+	RET
+
+// func dotPanelSIMD(dst, a, b *float32, k, w, ldo, rows int)
+//
+// For r < rows and j < w: dst[r*ldo+j] = Σ_{p<k} a[r*k+p] * b[j*k+p].
+// Each 3×4 output tile keeps twelve 8-lane FMA partial sums in Y0..Y11,
+// lane l summing the terms p ≡ l (mod 8) of p < k&^7 from +0. The high
+// 128 bits are then folded into the low four lanes, the k%8 tail is
+// FMA-accumulated into lane 0, and the lanes reduce as (l0+l1)+(l2+l3):
+// three VHADDPS per tile row yield that row's four sums in one register.
+// The fold must precede the scalar tail, because VEX.128 ops zero bits
+// 128-255 of their destination. Columns past w alias column w-1 and are
+// masked off on store; rows past rows alias an earlier row and are not
+// stored.
+TEXT ·dotPanelSIMD(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ b+16(FP), SI
+	MOVQ k+24(FP), CX
+	MOVQ w+32(FP), DX
+	MOVQ CX, R14
+	SHLQ $2, R14
+	MOVQ R8, R9
+	MOVQ R8, R10
+	MOVQ rows+48(FP), AX
+	CMPQ AX, $2
+	JLT  dcols
+	ADDQ R14, R9
+	MOVQ R9, R10
+	CMPQ AX, $3
+	JLT  dcols
+	ADDQ R14, R10
+
+dcols:
+	CMPQ DX, $0
+	JLE  ddone
+	MOVQ SI, R11
+	MOVQ SI, R12
+	MOVQ SI, R13
+	CMPQ DX, $2
+	JLT  dzero
+	ADDQ R14, R11
+	MOVQ R11, R12
+	MOVQ R11, R13
+	CMPQ DX, $3
+	JLT  dzero
+	ADDQ R14, R12
+	MOVQ R12, R13
+	CMPQ DX, $4
+	JLT  dzero
+	ADDQ R14, R13
+
+dzero:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	XORQ AX, AX
+	CMPQ AX, BX
+	JGE  dfold
+
+dloop:
+	VMOVUPS (R8)(AX*4), Y12
+	VMOVUPS (R9)(AX*4), Y13
+	VMOVUPS (R10)(AX*4), Y14
+	VMOVUPS (SI)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y0
+	VFMADD231PS Y15, Y13, Y4
+	VFMADD231PS Y15, Y14, Y8
+	VMOVUPS (R11)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y1
+	VFMADD231PS Y15, Y13, Y5
+	VFMADD231PS Y15, Y14, Y9
+	VMOVUPS (R12)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y2
+	VFMADD231PS Y15, Y13, Y6
+	VFMADD231PS Y15, Y14, Y10
+	VMOVUPS (R13)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y3
+	VFMADD231PS Y15, Y13, Y7
+	VFMADD231PS Y15, Y14, Y11
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JLT  dloop
+
+dfold:
+	VEXTRACTF128 $1, Y0, X15
+	VADDPS X15, X0, X0
+	VEXTRACTF128 $1, Y1, X15
+	VADDPS X15, X1, X1
+	VEXTRACTF128 $1, Y2, X15
+	VADDPS X15, X2, X2
+	VEXTRACTF128 $1, Y3, X15
+	VADDPS X15, X3, X3
+	VEXTRACTF128 $1, Y4, X15
+	VADDPS X15, X4, X4
+	VEXTRACTF128 $1, Y5, X15
+	VADDPS X15, X5, X5
+	VEXTRACTF128 $1, Y6, X15
+	VADDPS X15, X6, X6
+	VEXTRACTF128 $1, Y7, X15
+	VADDPS X15, X7, X7
+	VEXTRACTF128 $1, Y8, X15
+	VADDPS X15, X8, X8
+	VEXTRACTF128 $1, Y9, X15
+	VADDPS X15, X9, X9
+	VEXTRACTF128 $1, Y10, X15
+	VADDPS X15, X10, X10
+	VEXTRACTF128 $1, Y11, X15
+	VADDPS X15, X11, X11
+	CMPQ AX, CX
+	JGE  dreduce
+
+dtail:
+	VMOVSS (R8)(AX*4), X12
+	VMOVSS (R9)(AX*4), X13
+	VMOVSS (R10)(AX*4), X14
+	VMOVSS (SI)(AX*4), X15
+	VFMADD231SS X15, X12, X0
+	VFMADD231SS X15, X13, X4
+	VFMADD231SS X15, X14, X8
+	VMOVSS (R11)(AX*4), X15
+	VFMADD231SS X15, X12, X1
+	VFMADD231SS X15, X13, X5
+	VFMADD231SS X15, X14, X9
+	VMOVSS (R12)(AX*4), X15
+	VFMADD231SS X15, X12, X2
+	VFMADD231SS X15, X13, X6
+	VFMADD231SS X15, X14, X10
+	VMOVSS (R13)(AX*4), X15
+	VFMADD231SS X15, X12, X3
+	VFMADD231SS X15, X13, X7
+	VFMADD231SS X15, X14, X11
+	INCQ AX
+	CMPQ AX, CX
+	JLT  dtail
+
 dreduce:
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X1, X1, X1
-	VHADDPS X1, X1, X1
-	VHADDPS X2, X2, X2
-	VHADDPS X2, X2, X2
-	VHADDPS X3, X3, X3
-	VHADDPS X3, X3, X3
-	VMOVSS X0, 0(DX)
-	VMOVSS X1, 4(DX)
-	VMOVSS X2, 8(DX)
-	VMOVSS X3, 12(DX)
+	VHADDPS X1, X0, X0
+	VHADDPS X3, X2, X2
+	VHADDPS X2, X0, X0
+	VHADDPS X5, X4, X4
+	VHADDPS X7, X6, X6
+	VHADDPS X6, X4, X4
+	VHADDPS X9, X8, X8
+	VHADDPS X11, X10, X10
+	VHADDPS X10, X8, X8
+	MOVQ ldo+40(FP), BX
+	SHLQ $2, BX
+	MOVQ rows+48(FP), AX
+	CMPQ DX, $4
+	JLT  dmasked
+	VMOVUPS X0, (DI)
+	CMPQ AX, $2
+	JLT  dnext
+	VMOVUPS X4, (DI)(BX*1)
+	CMPQ AX, $3
+	JLT  dnext
+	VMOVUPS X8, (DI)(BX*2)
+	JMP  dnext
+
+dmasked:
+	LEAQ maskTable<>+32(SB), R11
+	MOVQ DX, R12
+	NEGQ R12
+	VMOVUPS (R11)(R12*4), X15
+	VMASKMOVPS X0, X15, (DI)
+	CMPQ AX, $2
+	JLT  dnext
+	VMASKMOVPS X4, X15, (DI)(BX*1)
+	CMPQ AX, $3
+	JLT  dnext
+	VMASKMOVPS X8, X15, (DI)(BX*2)
+
+dnext:
+	ADDQ $16, DI
+	LEAQ (SI)(R14*4), SI
+	SUBQ $4, DX
+	JMP  dcols
+
+ddone:
 	VZEROUPPER
 	RET
 

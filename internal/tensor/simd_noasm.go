@@ -16,15 +16,15 @@ func setSIMD(on bool) bool { return false }
 // The SIMD kernel symbols are referenced from matmul.go behind
 // `if simdAvailable`, which is a compile-time false here; the bodies are
 // unreachable.
-func axpy4x2SIMD(d0, d1, b0, b1, b2, b3 []float32, a *[8]float32) {
-	panic("tensor: SIMD kernel called on non-amd64 build")
-}
-
 func axpy4SIMD(d, b0, b1, b2, b3 []float32, a *[4]float32) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func dot4SIMD(a, b0, b1, b2, b3 []float32, out *[4]float32) {
+func gemmPanelSIMD(dst, a, b *float32, k, w, ld, acs, off1, off2, off3, rows int) {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
+
+func dotPanelSIMD(dst, a, b *float32, k, w, ldo, rows int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
