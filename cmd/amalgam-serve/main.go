@@ -1,10 +1,11 @@
 // Command amalgam-serve runs the batched obfuscated-inference server.
 //
 //	amalgam-serve -addr 127.0.0.1:9090   # serve demo models over the wire protocol
-//	amalgam-serve -bench                 # in-process saturation benchmark -> BENCH JSON
+//	amalgam-serve -bench                 # in-process saturation benchmark, JSON on stdout
+//	amalgam-serve -bench -out b.json     # ... JSON written to b.json
 //
 // Serve mode registers one demo model per modality (deterministic seeds,
-// synthetic scale) behind the wire protocol's inference extension;
+// synthetic scale) behind the wire protocol's prediction frames;
 // clients connect with amalgam.NewPredictClient. Bench mode drives the
 // dynamic batcher with closed-loop clients across batch budgets and
 // reports requests/sec with latency quantiles — the amortisation curve
@@ -36,7 +37,7 @@ func main() {
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:9090", "listen address (serve mode)")
 	bench := flag.Bool("bench", false, "run the in-process saturation benchmark instead of serving")
-	out := flag.String("out", "BENCH_pr10.json", "benchmark output path")
+	out := flag.String("out", "", "benchmark JSON output path (default: stdout)")
 	clients := flag.Int("clients", 64, "closed-loop client goroutines (bench mode)")
 	duration := flag.Duration("duration", 2*time.Second, "measurement window per budget (bench mode)")
 	flag.Parse()
@@ -104,7 +105,9 @@ type benchReport struct {
 // records requests/sec at the observed latency quantiles. The workload is
 // transformer next-token scoring: a forward pass costs dozens of graph
 // ops whether it carries one context or thirty-two, so the batcher's
-// amortisation shows up directly in the req/s curve.
+// amortisation shows up directly in the req/s curve. The per-budget
+// lines go to stderr; the JSON report goes to out, or stdout when out is
+// empty.
 func runBench(out string, clients int, duration time.Duration) error {
 	const vocab, seqLen = 50, 4
 	lm := amalgam.BuildLMModel(5, amalgam.TransformerLMConfig{
@@ -134,7 +137,7 @@ func runBench(out string, clients int, duration time.Duration) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-9s %9.0f req/s  p50 %6.2fms  p99 %6.2fms\n", b.name, res.RequestsPerSec, res.P50Ms, res.P99Ms)
+		fmt.Fprintf(os.Stderr, "%-9s %9.0f req/s  p50 %6.2fms  p99 %6.2fms\n", b.name, res.RequestsPerSec, res.P50Ms, res.P99Ms)
 		report.Results = append(report.Results, res)
 	}
 	best := 0.0
@@ -144,13 +147,18 @@ func runBench(out string, clients int, duration time.Duration) error {
 		}
 	}
 	report.SpeedupVsBatch1 = best / report.Results[0].RequestsPerSec
-	fmt.Printf("best batched budget vs batch-1: %.2fx\n", report.SpeedupVsBatch1)
+	fmt.Fprintf(os.Stderr, "best batched budget vs batch-1: %.2fx\n", report.SpeedupVsBatch1)
 
 	js, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(out, append(js, '\n'), 0o644)
+	js = append(js, '\n')
+	if out == "" {
+		_, err = os.Stdout.Write(js)
+		return err
+	}
+	return os.WriteFile(out, js, 0o644)
 }
 
 // measureBudget runs one closed-loop measurement: clients goroutines

@@ -3,9 +3,7 @@ package cloudsim
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -75,15 +73,15 @@ type frame struct {
 	payload []byte
 }
 
-// requestFrames serializes a request (spec through init state) under the
-// given hyper-parameters. The terminator (msgDone or msgSubmit) is the
-// caller's: it decides blocking vs async.
-func requestFrames(req *TrainRequest, hyper Hyper) ([]frame, error) {
+// requestFrames serializes a request (spec through RNG cursors). The
+// terminator (msgDone or msgSubmit) is the caller's: it decides blocking
+// vs async.
+func requestFrames(req *TrainRequest) ([]frame, error) {
 	specPayload, err := encodeSpecFrame(req.Spec)
 	if err != nil {
 		return nil, err
 	}
-	hyperJSON, err := json.Marshal(hyper)
+	hyperJSON, err := json.Marshal(req.Hyper)
 	if err != nil {
 		return nil, err
 	}
@@ -165,8 +163,8 @@ func requestFrames(req *TrainRequest, hyper Hyper) ([]frame, error) {
 }
 
 // writeRequest puts a full request on the wire, ending with terminator.
-func writeRequest(conn *deadlineConn, req *TrainRequest, hyper Hyper, terminator byte) error {
-	frames, err := requestFrames(req, hyper)
+func writeRequest(conn *deadlineConn, req *TrainRequest, terminator byte) error {
+	frames, err := requestFrames(req)
 	if err != nil {
 		return err
 	}
@@ -179,22 +177,15 @@ func writeRequest(conn *deadlineConn, req *TrainRequest, hyper Hyper, terminator
 }
 
 // decodeErrorFrame maps a msgError payload back to an error, restoring
-// the sentinel from the v2 code byte when present.
+// the sentinel from its leading code byte.
 func decodeErrorFrame(payload []byte) error {
-	msg := payload
-	var sentinel error
-	if len(payload) > 0 && payload[0] < ' ' {
-		// v2 error frames lead with a code byte (all codes are
-		// control-range, never printable ASCII).
-		sentinel = sentinelFor(payload[0])
-		msg = payload[1:]
+	if len(payload) == 0 {
+		return fmt.Errorf("cloudsim: error frame without a code byte: %w", ErrUnknownFrame)
 	}
-	if sentinel != nil {
-		return fmt.Errorf("cloudsim: server: %s: %w", msg, sentinel)
+	if sentinel := sentinelFor(payload[0]); sentinel != nil {
+		return fmt.Errorf("cloudsim: server: %s: %w", payload[1:], sentinel)
 	}
-	// v1 servers and errCodeGeneric frames carry no classification byte;
-	// reconstructing one here would be guessing.
-	return fmt.Errorf("cloudsim: server: %s", msg) //amalgam:allow errtaxcheck v1/generic error frames carry no code to map onto a sentinel
+	return fmt.Errorf("cloudsim: server: %s", payload[1:]) //amalgam:allow errtaxcheck errCodeGeneric frames carry no sentinel; reconstructing one would be guessing
 }
 
 // readJobStream consumes a server's job output stream — progress,
@@ -221,17 +212,6 @@ func readJobStream(ctx context.Context, conn *deadlineConn, h StreamHandlers) (*
 			}
 		case msgCheckpoint:
 			ck, err := serialize.ReadTrainCheckpoint(bytes.NewReader(payload))
-			if errors.Is(err, serialize.ErrWrongFormat) && len(payload) >= 4 {
-				// Legacy layout from a server predating the extension:
-				// uint32 epoch + bare state dict, no kind or optimiser
-				// state.
-				dict, derr := serialize.ReadStateDict(bytes.NewReader(payload[4:]))
-				if derr == nil {
-					ck, err = &serialize.TrainCheckpoint{
-						Epoch: int(binary.LittleEndian.Uint32(payload)), State: dict,
-					}, nil
-				}
-			}
 			if err != nil {
 				return nil, fmt.Errorf("cloudsim: bad checkpoint frame: %w", err)
 			}
@@ -284,15 +264,7 @@ func TrainContextNet(ctx context.Context, addr string, req *TrainRequest, h Stre
 	}
 	defer conn.Close()
 
-	// This client understands the optimiser-state, failover, and
-	// pluggable-optimiser extensions; declare them so the server sends
-	// AMC2/AMC3 checkpoint frames, the msgOptState/msgRNGState result
-	// frames, and the graceful-shutdown handoff.
-	hyper := req.Hyper
-	hyper.OptState = true
-	hyper.Failover = true
-	hyper.OptimSpec = true
-	if err := writeRequest(conn, req, hyper, msgDone); err != nil {
+	if err := writeRequest(conn, req, msgDone); err != nil {
 		return nil, err
 	}
 
@@ -327,12 +299,7 @@ func SubmitContext(ctx context.Context, addr string, req *TrainRequest, net_ Net
 	}
 	defer conn.Close()
 
-	hyper := req.Hyper
-	hyper.OptState = true
-	hyper.Failover = true
-	hyper.OptimSpec = true
-	hyper.Async = true
-	if err := writeRequest(conn, req, hyper, msgSubmit); err != nil {
+	if err := writeRequest(conn, req, msgSubmit); err != nil {
 		return "", err
 	}
 	kind, payload, err := readFrame(conn)
@@ -414,10 +381,6 @@ func AttachContext(ctx context.Context, addr string, areq AttachRequest, h Strea
 	}
 	defer conn.Close()
 
-	// This binary understands the AMC2/AMC3 and failover frame formats.
-	areq.OptState = true
-	areq.Failover = true
-	areq.OptimSpec = true
 	js, err := json.Marshal(areq)
 	if err != nil {
 		return nil, err

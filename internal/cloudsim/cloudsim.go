@@ -6,10 +6,9 @@
 // analysis (§6.3) consumes, and an accelerator cost model used to report
 // GPU-relative numbers on a CPU-only testbed (Fig. 14; see DESIGN.md §4).
 //
-// Protocol v2 extends the original blocking request/response loop with
+// The wire protocol (v3, frames.go) carries CV, text and LM jobs with
 // per-epoch progress streaming, cooperative cancellation, mid-job
-// checkpoint frames, and a second modality: augmented text-classification
-// jobs ride the same wire as CV jobs.
+// checkpoint frames, async submit/poll/attach, and prediction requests.
 package cloudsim
 
 import (
@@ -70,8 +69,7 @@ type ModelSpec struct {
 	// the default ReLU, so pre-extension specs rebuild identically.
 	LMGELUFF bool `json:"lm_gelu_ff,omitempty"`
 	// Tenant attributes the job to a fair-share scheduling bucket. Empty
-	// (every pre-extension client) buckets under the default tenant, so
-	// legacy specs decode and schedule unchanged.
+	// buckets under the default tenant.
 	Tenant string `json:"tenant,omitempty"`
 }
 
@@ -87,52 +85,19 @@ type Hyper struct {
 	// StartEpoch resumes a job: epochs [0, StartEpoch) are assumed done
 	// (their effect carried by InitState) and metrics continue from there.
 	StartEpoch int `json:"start_epoch,omitempty"`
-	// Stream asks a v2 server to push msgProgress frames per epoch.
+	// Stream asks the server to push msgProgress frames per epoch.
 	Stream bool `json:"stream,omitempty"`
-	// CheckpointEvery asks a v2 server to push a msgCheckpoint frame (full
-	// state dict) every N epochs. 0 disables.
+	// CheckpointEvery asks the server to push a msgCheckpoint frame (an
+	// AMC3 training checkpoint) every N epochs. 0 disables.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// OptState declares that the client understands the optimiser-state
-	// extension: AMC2-format msgCheckpoint payloads and the msgOptState
-	// result frame. Clients that predate the extension never set it, so
-	// the server keeps sending them the legacy checkpoint layout and no
-	// optimiser frames — same-version negotiation without a protocol bump.
-	OptState bool `json:"opt_state,omitempty"`
-	// Failover declares that the client understands the fault-tolerance
-	// extension: msgRNGState result frames (dropout-stream cursors) and
-	// the shutdown handoff (epoch-aligned msgCheckpoint followed by a
-	// retryable coded msgError instead of a normal result). Negotiated the
-	// same way as OptState, so pre-extension clients never see the new
-	// frames.
-	Failover bool `json:"failover,omitempty"`
-	// Async declares that the client understands the async-service
-	// extension and intends to end its request with msgSubmit instead of
-	// msgDone. Negotiated like OptState/Failover: pre-extension clients
-	// never set it and keep the blocking submit+wait conversation.
-	Async bool `json:"async,omitempty"`
 	// Optimizer selects the job's optimiser by spec (kind + hyperparams).
-	// Nil keeps the historical behaviour: SGD built from the flat
-	// LR/Momentum/WeightDecay fields above, so every pre-extension client
-	// trains exactly as before. A spec with LR 0 inherits Hyper.LR.
+	// Nil trains SGD built from the flat LR/Momentum/WeightDecay fields
+	// above. A spec with LR 0 inherits Hyper.LR.
 	Optimizer *optim.OptimSpec `json:"optimizer,omitempty"`
 	// Schedule selects an LR schedule applied at epoch boundaries. The
 	// schedule is reconstructed from (spec, completed epochs) on resume,
 	// so the rate never needs to travel in optimiser state.
 	Schedule *optim.ScheduleSpec `json:"lr_schedule,omitempty"`
-	// OptimSpec declares that the client understands the pluggable-
-	// optimiser extension: AMC3 msgCheckpoint payloads and AMO1-framed
-	// msgOptState result frames (generalized optimiser state). Negotiated
-	// like OptState/Failover/Async — pre-extension clients never set it,
-	// keep receiving the legacy SGD encodings byte-for-byte, and a server
-	// refuses Optimizer/Schedule specs from clients that did not declare
-	// it (they could not decode the resulting state frames).
-	OptimSpec bool `json:"optim_spec,omitempty"`
-	// Infer declares that the client understands the inference-serving
-	// extension and will send msgInfer frames (batched predictions against
-	// models registered on the server, full-input or split). Negotiated
-	// like the other capability flags — no version bump; pre-extension
-	// clients never set it and their byte streams are served unchanged.
-	Infer bool `json:"infer,omitempty"`
 }
 
 // TrainRequest is a complete job: spec, hyper-parameters, and the
@@ -801,11 +766,5 @@ func (a Accelerator) Simulate(cpuSeconds float64) float64 {
 	return cpuSeconds / a.SpeedupVsCPU
 }
 
-// specJSON round-trips the spec for the wire protocol.
+// specJSON encodes the spec for the wire protocol.
 func specJSON(s ModelSpec) ([]byte, error) { return json.Marshal(s) }
-
-func specFromJSON(b []byte) (ModelSpec, error) {
-	var s ModelSpec
-	err := json.Unmarshal(b, &s)
-	return s, err
-}

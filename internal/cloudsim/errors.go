@@ -24,9 +24,8 @@ var (
 	ErrUnknownFrame = errors.New("cloudsim: unknown frame type")
 	// ErrServerShutdown is the wire-borne "server shutting down, retry
 	// elsewhere" signal: the server drained the job at an epoch boundary
-	// (streaming an epoch-aligned checkpoint first when the client
-	// negotiated failover) and refused further work. It is the one
-	// server-reported error that IS retryable.
+	// (streaming an epoch-aligned checkpoint first) and refused further
+	// work. It is the one server-reported error that IS retryable.
 	ErrServerShutdown = errors.New("cloudsim: server shutting down")
 	// ErrJobPanic marks a job that crashed server-side. The panic was
 	// recovered and converted to a wire error instead of a torn
@@ -90,7 +89,7 @@ func IsTransient(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// Error codes carried in v2 msgError payloads (first byte) so wire-borne
+// Error codes carried in msgError payloads (first byte) so wire-borne
 // server failures map back onto the sentinels client-side.
 const (
 	errCodeGeneric  byte = 0
@@ -132,6 +131,12 @@ func errCodeOf(err error) byte {
 	default:
 		return errCodeGeneric
 	}
+}
+
+// encodeErrorFrame lays out a msgError payload: the error's code byte,
+// then its message.
+func encodeErrorFrame(err error) []byte {
+	return append([]byte{errCodeOf(err)}, err.Error()...)
 }
 
 // sentinelFor maps a wire error code back to its sentinel (nil for generic).

@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,21 +14,19 @@ import (
 
 // Wire protocol: each message is a 1-byte type, a uint32 length, and a
 // payload. A job is a sequence of client messages (spec, hyper, labels,
-// payload tensors/tokens[, eval split][, init state dict]) terminated by
-// msgDone, followed by the server's response. Protocol v2 spec frames lead
-// with a version byte (v1 frames started with the '{' of bare JSON, which
-// is how the two are told apart); v2 servers stream msgProgress frames per
-// epoch, push msgCheckpoint frames on request, and honour a client
-// msgCancel sent mid-job.
+// payload tensors/tokens[, eval split][, init state, optimiser state, RNG
+// cursors]) terminated by msgDone, followed by the server's response. The
+// spec frame leads with the protocol version byte; the server streams
+// msgProgress frames per epoch when Hyper.Stream is set, pushes
+// msgCheckpoint frames every Hyper.CheckpointEvery epochs, and honours a
+// client msgCancel sent mid-job.
 //
-// The async-service extension (negotiated by Hyper.Async, the same way
-// OptState and Failover are) replaces the terminating msgDone with
-// msgSubmit: the server enqueues the job, answers with msgSubmitAck
-// carrying a durable job ID, and closes the connection. The job's output
-// is retrieved later over fresh connections with msgPoll (status) and
-// msgAttach (stream + result). Legacy v1/v2 clients keep sending msgDone
-// and are served byte-for-byte as before — internally an implicit
-// submit+attach on one connection.
+// Ending the request with msgSubmit instead of msgDone makes it async:
+// the server enqueues the job, answers with msgSubmitAck carrying a
+// durable job ID, and closes the connection. The job's output is
+// retrieved later over fresh connections with msgPoll (status) and
+// msgAttach (stream + result). A msgDone job is the same thing as an
+// implicit submit+attach on one connection.
 const (
 	msgSpec        byte = 1
 	msgHyper       byte = 2
@@ -56,9 +55,9 @@ const (
 	msgInferResult byte = 25 // server→client: inferResult JSON
 )
 
-// protocolVersion is the version this binary speaks. Servers accept v1
-// (legacy, blocking) and v2; anything else is ErrProtocolVersion.
-const protocolVersion byte = 2
+// protocolVersion is the version this binary speaks; a spec frame with
+// any other version byte (including v1's bare JSON) is ErrProtocolVersion.
+const protocolVersion byte = 3
 
 // maxFrame bounds a single frame's payload. It is a variable only so the
 // protocol tests can lower it without allocating gigabyte payloads; both
@@ -125,7 +124,7 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[0], buf.Bytes(), nil
 }
 
-// encodeSpecFrame builds a v2 spec payload: version byte + JSON.
+// encodeSpecFrame builds a spec payload: version byte + JSON.
 func encodeSpecFrame(spec ModelSpec) ([]byte, error) {
 	js, err := specJSON(spec)
 	if err != nil {
@@ -134,22 +133,25 @@ func encodeSpecFrame(spec ModelSpec) ([]byte, error) {
 	return append([]byte{protocolVersion}, js...), nil
 }
 
-// decodeSpecFrame accepts both v1 (bare JSON, first byte '{') and v2
-// (version byte + JSON) spec payloads, returning the negotiated version.
-func decodeSpecFrame(payload []byte) (ModelSpec, byte, error) {
+// decodeSpecFrame accepts only protocolVersion spec payloads. A v1 peer's
+// bare JSON (first byte '{') and a v2 peer's version byte are refused
+// like any other skew.
+func decodeSpecFrame(payload []byte) (ModelSpec, error) {
 	if len(payload) == 0 {
-		return ModelSpec{}, 0, fmt.Errorf("cloudsim: empty spec frame: %w", ErrBadRequest)
+		return ModelSpec{}, fmt.Errorf("cloudsim: empty spec frame: %w", ErrBadRequest)
 	}
-	if payload[0] == '{' {
-		spec, err := specFromJSON(payload)
-		return spec, 1, err
+	if v := payload[0]; v != protocolVersion {
+		if v == '{' {
+			v = 1
+		}
+		return ModelSpec{}, fmt.Errorf("cloudsim: peer speaks protocol v%d, this binary speaks v%d: %w",
+			v, protocolVersion, ErrProtocolVersion)
 	}
-	if payload[0] != protocolVersion {
-		return ModelSpec{}, 0, fmt.Errorf("cloudsim: peer speaks protocol v%d, this binary speaks v%d: %w",
-			payload[0], protocolVersion, ErrProtocolVersion)
+	var spec ModelSpec
+	if err := json.Unmarshal(payload[1:], &spec); err != nil {
+		return ModelSpec{}, fmt.Errorf("cloudsim: spec JSON: %v: %w", err, ErrBadRequest)
 	}
-	spec, err := specFromJSON(payload[1:])
-	return spec, protocolVersion, err
+	return spec, nil
 }
 
 // resultMeta is the msgResult JSON body.
@@ -175,15 +177,10 @@ type jobRef struct {
 // which of its buffered output to replay. FromEpoch is the last epoch the
 // client has already seen — the server replays only newer buffered
 // progress (and a newer parked checkpoint), which is what makes a retried
-// attach deliver each epoch's stats exactly once. OptState/Failover/
-// OptimSpec mirror the Hyper capability flags for the attach stream's
-// frame formats.
+// attach deliver each epoch's stats exactly once.
 type AttachRequest struct {
 	JobID     string `json:"job_id"`
 	FromEpoch int    `json:"from_epoch,omitempty"`
-	OptState  bool   `json:"opt_state,omitempty"`
-	Failover  bool   `json:"failover,omitempty"`
-	OptimSpec bool   `json:"optim_spec,omitempty"`
 }
 
 // JobStatus is the msgJobStatus JSON body: a point-in-time observation of

@@ -1,6 +1,6 @@
 package cloudsim
 
-// The inference-serving extension (Hyper.Infer): msgInfer frames carry
+// Inference serving: msgInfer frames, valid on any connection, carry
 // batched prediction requests against models registered on the server's
 // serve.Server backend, answered by msgInferResult. Two body shapes per
 // modality: full inputs (images or token ids) and split-inference
@@ -125,14 +125,29 @@ func fanOut(n int, call func(i int) error) error {
 	return nil
 }
 
-// unflatten splits row-major flattened ids back into per-sample slices.
-func unflatten(flat []int, lens []int) ([][]int, error) {
+// checkLens validates per-sample lengths against a body of limit units
+// (tokens, or activation rows), returning their sum. Each length is
+// checked against the room left BEFORE it is added, so forged lengths
+// cannot overflow the sum into passing the size check.
+func checkLens(lens []int, limit int) (int, error) {
 	total := 0
 	for _, l := range lens {
 		if l <= 0 {
-			return nil, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
+			return 0, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
+		}
+		if l > limit-total {
+			return 0, fmt.Errorf("cloudsim: infer lens exceed the %d-unit body: %w", limit, ErrBadRequest)
 		}
 		total += l
+	}
+	return total, nil
+}
+
+// unflatten splits row-major flattened ids back into per-sample slices.
+func unflatten(flat []int, lens []int) ([][]int, error) {
+	total, err := checkLens(lens, len(flat))
+	if err != nil {
+		return nil, err
 	}
 	if total != len(flat) {
 		return nil, fmt.Errorf("cloudsim: infer lens sum %d but body has %d tokens: %w", total, len(flat), ErrBadRequest)
@@ -154,7 +169,7 @@ func unflatten(flat []int, lens []int) ([][]int, error) {
 func (s *Server) infer(conn *deadlineConn, payload []byte) error {
 	res, err := s.inferAnswer(payload)
 	if err != nil {
-		return writeFrame(conn, msgError, append([]byte{errCodeOf(err)}, err.Error()...))
+		return writeFrame(conn, msgError, encodeErrorFrame(err))
 	}
 	js, err := json.Marshal(res)
 	if err != nil {
@@ -261,12 +276,9 @@ func (s *Server) inferLM(h inferHeader, body []byte) (inferResult, error) {
 		if err != nil {
 			return inferResult{}, fmt.Errorf("cloudsim: bad infer body: %v: %w", err, ErrBadRequest)
 		}
-		rows := 0
-		for _, l := range h.Lens {
-			if l <= 0 {
-				return inferResult{}, fmt.Errorf("cloudsim: infer sample length %d: %w", l, ErrBadRequest)
-			}
-			rows += l
+		rows, err := checkLens(h.Lens, len(t.Data)/h.Dim)
+		if err != nil {
+			return inferResult{}, err
 		}
 		if rows*h.Dim != len(t.Data) {
 			return inferResult{}, fmt.Errorf("cloudsim: lm split body has %d floats, lens×dim wants %d: %w",
@@ -310,8 +322,8 @@ func (s *Server) inferLM(h inferHeader, body []byte) (inferResult, error) {
 	return res, err
 }
 
-// InferConn is a client connection speaking the inference extension: one
-// dial, then any number of prediction exchanges. Calls from concurrent
+// InferConn is a client connection for prediction requests: one dial,
+// then any number of prediction exchanges. Calls from concurrent
 // goroutines serialize on the connection (the wire is strictly
 // request/response); for client-side parallelism open several conns.
 type InferConn struct {
@@ -319,20 +331,11 @@ type InferConn struct {
 	conn *deadlineConn
 }
 
-// DialInfer connects to a service and declares the Infer capability. The
-// returned conn is ready for Predict calls and must be Closed.
+// DialInfer connects to a service. The returned conn is ready for
+// Predict calls and must be Closed.
 func DialInfer(ctx context.Context, addr string, net_ NetConfig) (*InferConn, error) {
 	conn, err := dialFrames(ctx, addr, net_)
 	if err != nil {
-		return nil, err
-	}
-	js, err := json.Marshal(Hyper{Infer: true})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := writeFrame(conn, msgHyper, js); err != nil {
-		conn.Close()
 		return nil, err
 	}
 	return &InferConn{sem: make(chan struct{}, 1), conn: conn}, nil

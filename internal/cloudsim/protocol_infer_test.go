@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -128,35 +129,6 @@ func TestInferRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInferRequiresCapability pins the admission rule: an infer frame on
-// a connection that never declared Hyper.Infer is refused as a bad
-// request, mirroring the async extension's negotiation.
-func TestInferRequiresCapability(t *testing.T) {
-	addr, _, _, stop := startInferServer(t)
-	defer stop()
-
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	conn := newDeadlineConn(raw, 5*time.Second, 5*time.Second)
-	payload, err := encodeInferFrame(inferHeader{Model: "txt", Modality: "text", Lens: []int{1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, msgInfer, payload); err != nil {
-		t.Fatal(err)
-	}
-	kind, resp, err := readFrame(conn)
-	if err != nil || kind != msgError {
-		t.Fatalf("want an error frame, got kind %d err %v", kind, err)
-	}
-	if err := decodeErrorFrame(resp); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("want ErrBadRequest, got %v", err)
-	}
-}
-
 // TestInferRefusedWithoutBackend pins that a pure training server (no
 // Infer backend configured) refuses infer frames with ErrBadRequest
 // instead of crashing or hanging.
@@ -208,5 +180,47 @@ func TestInferErrorsCrossWireTyped(t *testing.T) {
 	got, err := conn2.PredictText("txt", [][]int{{49}})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("connection should keep serving after an in-band error: %v", err)
+	}
+}
+
+// TestInferForgedLensRejected pins the length check on both ragged-body
+// paths: lengths whose sum overflows int into matching a one-unit body
+// are refused in-band as ErrBadRequest — not a panic in a fan-out
+// goroutine, which would kill the whole server — and the same
+// connection then serves a valid prediction.
+func TestInferForgedLensRejected(t *testing.T) {
+	addr, _, _, stop := startInferServer(t)
+	defer stop()
+
+	conn, err := DialInfer(context.Background(), addr, NetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	forged := []int{3, math.MaxInt, math.MaxInt}
+
+	oneFloat, err := tensorBody([][]float32{{0.5}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneToken, _, err := intBody([][]int{{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		h    inferHeader
+		body []byte
+	}{
+		{"split", inferHeader{Model: "lm", Modality: "lm", Split: true, Lens: forged, Dim: 1, TopK: 1}, oneFloat},
+		{"full", inferHeader{Model: "lm", Modality: "lm", Lens: forged, TopK: 1}, oneToken},
+	} {
+		if _, err := conn.roundTrip(c.h, c.body); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s path with forged lens: want ErrBadRequest, got %v", c.name, err)
+		}
+		got, err := conn.PredictLM("lm", [][]int{{1, 8, 30}}, 2)
+		if err != nil || len(got) != 1 || len(got[0].Tokens) != 2 {
+			t.Fatalf("%s path: connection should keep serving after the reject: %v", c.name, err)
+		}
 	}
 }

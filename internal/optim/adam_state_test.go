@@ -49,9 +49,6 @@ func TestAdamStateDictResumeBitIdentical(t *testing.T) {
 	if st.Kind != KindAdam {
 		t.Fatalf("adam state kind = %q, want %q", st.Kind, KindAdam)
 	}
-	if st.LegacySGD() {
-		t.Fatal("adam state must not be expressible in the legacy SGD encoding")
-	}
 
 	lc, xc := build()
 	if err := nn.LoadStateDict(lc, weights); err != nil {

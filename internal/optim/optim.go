@@ -57,8 +57,8 @@ type Optimizer interface {
 // payload of AMC3 checkpoints and msgOptState wire frames.
 type State struct {
 	// Kind is the optimiser family that produced the state (KindSGD,
-	// KindAdam). Empty on states decoded from legacy AMC2/bare-dict
-	// sources, which only SGD ever wrote.
+	// KindAdam). States decoded from AMC2 checkpoints, which only SGD ever
+	// wrote, surface as KindSGD.
 	Kind string
 	// Step counts updates applied so far — Adam's bias-correction counter.
 	// Always zero for SGD.
@@ -84,15 +84,6 @@ func (s *State) NumBuffers() int {
 // and no step count. Nil is empty.
 func (s *State) Empty() bool {
 	return s == nil || (s.Step == 0 && len(s.Buffers) == 0)
-}
-
-// LegacySGD reports whether the state is expressible in the legacy
-// SGD-momentum encodings (the AMC2 checkpoint section and the bare-dict
-// msgOptState frame): no scalar counters, kind absent or SGD. Writers use
-// it to keep emitting byte-identical legacy bytes for SGD jobs; only
-// states that genuinely need the generalized layout get it.
-func (s *State) LegacySGD() bool {
-	return s == nil || (s.Step == 0 && (s.Kind == "" || s.Kind == KindSGD))
 }
 
 // sortedNames returns m's keys in sorted order, so state validation and

@@ -73,10 +73,8 @@ func LoadModel(path string, m interface{ Params() []nn.Param }) error {
 // uninterrupted one. AMC3 generalizes the optimiser section: it names
 // the optimiser kind and carries scalar state (the step counter, the
 // capture-time LR) ahead of the named buffers, so Adam's bias-correction
-// counter survives a resume. The writer only reaches for AMC3 when the
-// state actually needs it (OptState.LegacySGD is false): SGD-momentum
-// jobs keep producing byte-identical AMC2 files, and AMC1/AMC2 files
-// remain loadable forever.
+// counter survives a resume. The writer always produces AMC3; AMC1/AMC2
+// files remain loadable, because checkpoint files outlive binaries.
 const (
 	ckptMagicV1 = 0x414d4331 // "AMC1"
 	ckptMagicV2 = 0x414d4332 // "AMC2"
@@ -100,28 +98,23 @@ type TrainCheckpoint struct {
 	OptState *optim.State
 	// RNG holds per-layer random-stream cursors (dropout PCG state) keyed
 	// by stream name ("orig.drop", "orig.block0.drop", ...). It is an
-	// optional trailing AMC2 section: files written before it existed
-	// still load (RNG nil), and old readers ignore the extra bytes. With
-	// it, a resumed Dropout > 0 run replays masks from the interruption
-	// point — the last piece of the bit-identical-resume contract.
+	// optional trailing section of AMC2 and AMC3 files: files written
+	// before it existed still load (RNG nil). With it, a resumed
+	// Dropout > 0 run replays masks from the interruption point — the
+	// last piece of the bit-identical-resume contract.
 	RNG map[string][]byte
 }
 
-// WriteTrainCheckpoint encodes a training checkpoint: header, completed
-// epoch count, spec kind, optimiser scalars (AMC3 only), model state
-// dict, and — when present — the optimiser buffer dict. SGD-expressible
-// states take the AMC2 layout byte-for-byte; anything carrying a step
-// counter or a non-SGD kind needs AMC3.
+// WriteTrainCheckpoint encodes an AMC3 training checkpoint: header,
+// completed epoch count, spec kind, the optimiser-section flag (0 exactly
+// when OptState is nil), the optimiser scalars, the model state dict, the
+// optimiser buffer dict, and the trailing RNG section.
 func WriteTrainCheckpoint(w io.Writer, ck *TrainCheckpoint) error {
 	if ck.Epoch < 0 {
 		return fmt.Errorf("serialize: checkpoint epoch must be ≥ 0, got %d", ck.Epoch)
 	}
-	magic := uint32(ckptMagicV2)
-	if !ck.OptState.LegacySGD() {
-		magic = ckptMagicV3
-	}
 	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, magic); err != nil {
+	if err := writeHeader(bw, ckptMagicV3); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(ck.Epoch)); err != nil {
@@ -130,16 +123,14 @@ func WriteTrainCheckpoint(w io.Writer, ck *TrainCheckpoint) error {
 	if err := writeString(bw, ck.Kind); err != nil {
 		return err
 	}
-	// AMC3 always carries the optimiser section (scalars matter even with
-	// no buffers yet); AMC2 keeps the historical buffers-only condition.
 	hasOpt := uint8(0)
-	if magic == ckptMagicV3 || ck.OptState.NumBuffers() > 0 {
+	if ck.OptState != nil {
 		hasOpt = 1
 	}
 	if err := binary.Write(bw, binary.LittleEndian, hasOpt); err != nil {
 		return err
 	}
-	if magic == ckptMagicV3 {
+	if hasOpt == 1 {
 		if err := writeString(bw, ck.OptState.Kind); err != nil {
 			return err
 		}
@@ -161,9 +152,8 @@ func WriteTrainCheckpoint(w io.Writer, ck *TrainCheckpoint) error {
 			return err
 		}
 	}
-	// Optional trailing RNG section: a flag byte then a bytes dict. Old
-	// readers stop before it (trailing bytes are never read); new readers
-	// treat EOF at the flag as a file without the section.
+	// Trailing RNG section: a flag byte then a bytes dict. Readers treat
+	// EOF at the flag as a file written before the section existed.
 	if len(ck.RNG) == 0 {
 		_, err := w.Write([]byte{0})
 		return err
@@ -181,7 +171,7 @@ func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
 	// One buffered reader for the whole stream: the dict sections are
 	// decoded with the non-wrapping reader so the model dict cannot
 	// read ahead into the optimiser dict.
-	br := bufio.NewReader(r)
+	br := newReader(r)
 	var magic uint32
 	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
 		return nil, fmt.Errorf("serialize: read magic: %w", err)
@@ -195,7 +185,7 @@ func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
 		return nil, fmt.Errorf("serialize: read version: %w", err)
 	}
 	if v != version {
-		return nil, fmt.Errorf("serialize: unsupported version %d", v)
+		return nil, fmt.Errorf("serialize: unsupported version %d: %w", v, ErrCorrupt)
 	}
 	ck := &TrainCheckpoint{}
 	var e uint32
@@ -213,6 +203,9 @@ func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
 		ck.Kind = kind
 		if err := binary.Read(br, binary.LittleEndian, &hasOpt); err != nil {
 			return nil, fmt.Errorf("serialize: read checkpoint flags: %w", err)
+		}
+		if hasOpt > 1 {
+			return nil, fmt.Errorf("serialize: bad optimiser-section flag %d: %w", hasOpt, ErrCorrupt)
 		}
 	}
 	if hasOpt == 1 {
@@ -263,7 +256,7 @@ func ReadTrainCheckpoint(r io.Reader) (*TrainCheckpoint, error) {
 			}
 			ck.RNG = rng
 		case flag != 0:
-			return nil, fmt.Errorf("serialize: bad RNG flag %d", flag)
+			return nil, fmt.Errorf("serialize: bad RNG flag %d: %w", flag, ErrCorrupt)
 		}
 	}
 	return ck, nil

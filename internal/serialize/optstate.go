@@ -8,29 +8,17 @@ import (
 	"math"
 
 	"amalgam/internal/optim"
-	"amalgam/internal/tensor"
 )
 
-// optStateMagic ("AMO1") frames a generalized optimiser state: kind, step
-// counter, capture-time LR, then the named buffer dict. The legacy wire
-// encoding for optimiser state was a bare AMD1 state dict (SGD momentum
-// buffers, the only optimiser the protocol knew); WriteOptState keeps
-// emitting exactly those bytes for SGD-expressible states, and
-// ReadOptState sniffs the leading magic so either encoding decodes — the
-// same no-flag-day discipline as the AMC2/AMC3 checkpoint split.
+// optStateMagic ("AMO1") frames an optimiser state on the wire: kind,
+// step counter, capture-time LR, then the named buffer dict.
 const optStateMagic = 0x414d4f31 // "AMO1"
 
-// WriteOptState encodes an optimiser state for the wire. States
-// expressible in the legacy layout (LegacySGD: no step counter, SGD or
-// unset kind) are written as a bare state dict, byte-identical to the
-// pre-generalization encoding; anything else gets the AMO1 framing.
+// WriteOptState encodes an optimiser state as an AMO1 stream. A nil
+// state encodes as an empty one.
 func WriteOptState(w io.Writer, st *optim.State) error {
-	if st.LegacySGD() {
-		var buffers map[string]*tensor.Tensor
-		if st != nil {
-			buffers = st.Buffers
-		}
-		return WriteStateDict(w, buffers)
+	if st == nil {
+		st = &optim.State{}
 	}
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, optStateMagic); err != nil {
@@ -51,47 +39,29 @@ func WriteOptState(w io.Writer, st *optim.State) error {
 	return WriteStateDict(w, st.Buffers)
 }
 
-// ReadOptState decodes either optimiser-state encoding, sniffing the
-// leading magic: a bare AMD1 dict surfaces as an SGD state (Kind "sgd",
-// Step 0), an AMO1 stream decodes in full. Any other magic fails with
+// ReadOptState decodes an AMO1 stream. Any other magic fails with
 // ErrWrongFormat.
 func ReadOptState(r io.Reader) (*optim.State, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
+	br := newReader(r)
+	if err := readHeader(br, optStateMagic); err != nil {
+		return nil, err
+	}
+	kind, err := readString(br)
 	if err != nil {
-		return nil, fmt.Errorf("serialize: read optimiser-state magic: %w", err)
+		return nil, fmt.Errorf("serialize: read optimiser kind: %w", err)
 	}
-	switch binary.LittleEndian.Uint32(head) {
-	case dictMagic:
-		buffers, err := readStateDictFrom(br)
-		if err != nil {
-			return nil, err
-		}
-		return &optim.State{Kind: optim.KindSGD, Buffers: buffers}, nil
-	case optStateMagic:
-		if err := readHeader(br, optStateMagic); err != nil {
-			return nil, err
-		}
-		kind, err := readString(br)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: read optimiser kind: %w", err)
-		}
-		var step, lrBits uint64
-		if err := binary.Read(br, binary.LittleEndian, &step); err != nil {
-			return nil, fmt.Errorf("serialize: read optimiser step: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &lrBits); err != nil {
-			return nil, fmt.Errorf("serialize: read optimiser lr: %w", err)
-		}
-		buffers, err := readStateDictFrom(br)
-		if err != nil {
-			return nil, err
-		}
-		return &optim.State{
-			Kind: kind, Step: int(step), LR: math.Float64frombits(lrBits), Buffers: buffers,
-		}, nil
-	default:
-		return nil, fmt.Errorf("serialize: bad optimiser-state magic %#x: %w",
-			binary.LittleEndian.Uint32(head), ErrWrongFormat)
+	var step, lrBits uint64
+	if err := binary.Read(br, binary.LittleEndian, &step); err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser step: %w", err)
 	}
+	if err := binary.Read(br, binary.LittleEndian, &lrBits); err != nil {
+		return nil, fmt.Errorf("serialize: read optimiser lr: %w", err)
+	}
+	buffers, err := readStateDictFrom(br)
+	if err != nil {
+		return nil, err
+	}
+	return &optim.State{
+		Kind: kind, Step: int(step), LR: math.Float64frombits(lrBits), Buffers: buffers,
+	}, nil
 }

@@ -59,33 +59,36 @@ func TestOptStateAMO1Roundtrip(t *testing.T) {
 	statesEqual(t, out, in)
 }
 
-// TestOptStateSGDWritesLegacyBytes pins the no-flag-day contract on the
-// wire: an SGD-expressible state encodes byte-identically to the legacy
-// bare state dict, and decoding surfaces it as an SGD state.
-func TestOptStateSGDWritesLegacyBytes(t *testing.T) {
+// TestOptStateSGDWritesAMO1 pins the single wire encoding: an SGD state
+// is AMO1-framed like any other, and a bare state dict — the pre-AMO1
+// encoding — is refused as a foreign format.
+func TestOptStateSGDWritesAMO1(t *testing.T) {
 	vel := testBuffers("w", "b")
-	st := &optim.State{Kind: optim.KindSGD, LR: 0.05, Buffers: vel}
-
-	var got, legacy bytes.Buffer
-	if err := WriteOptState(&got, st); err != nil {
+	in := &optim.State{Kind: optim.KindSGD, LR: 0.05, Buffers: vel}
+	var buf bytes.Buffer
+	if err := WriteOptState(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteStateDict(&legacy, vel); err != nil {
-		t.Fatal(err)
+	if got := binary.LittleEndian.Uint32(buf.Bytes()[:4]); got != optStateMagic {
+		t.Fatalf("sgd state wrote magic %#x, want AMO1", got)
 	}
-	if !bytes.Equal(got.Bytes(), legacy.Bytes()) {
-		t.Fatal("SGD optimiser state no longer encodes as the legacy bare dict")
-	}
-
-	out, err := ReadOptState(&got)
+	out, err := ReadOptState(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	statesEqual(t, out, &optim.State{Kind: optim.KindSGD, Buffers: vel})
+	statesEqual(t, out, in)
+
+	var bare bytes.Buffer
+	if err := WriteStateDict(&bare, vel); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadOptState(&bare); !errors.Is(err, ErrWrongFormat) {
+		t.Fatalf("bare state dict decoded as optimiser state: %v", err)
+	}
 }
 
 // TestOptStateRejectsForeignMagic pins format discrimination for the
-// sniffing reader.
+// optimiser-state reader.
 func TestOptStateRejectsForeignMagic(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTensor(&buf, tensor.New(2, 2)); err != nil {
@@ -129,48 +132,96 @@ func TestTrainCheckpointAMC3Roundtrip(t *testing.T) {
 	}
 }
 
-// TestTrainCheckpointSGDWritesAMC2Bytes pins the no-flag-day contract on
-// disk: an SGD-momentum checkpoint written through the generalized writer
-// is byte-identical to the historical AMC2 encoding, so pre-extension
-// readers (and file hashes) see nothing change.
-func TestTrainCheckpointSGDWritesAMC2Bytes(t *testing.T) {
+// TestTrainCheckpointWritesAMC3 pins the single checkpoint encoder: SGD
+// and optimiser-free checkpoints are AMC3 too, the optimiser section is
+// present exactly when OptState is non-nil, and SGD state keeps its LR.
+func TestTrainCheckpointWritesAMC3(t *testing.T) {
+	state := testBuffers("w", "b")
+	for _, opt := range []*optim.State{
+		nil,
+		{Kind: optim.KindSGD, LR: 0.05, Buffers: testBuffers("w", "b")},
+	} {
+		var buf bytes.Buffer
+		in := &TrainCheckpoint{Epoch: 4, Kind: "augmented-cv", State: state, OptState: opt}
+		if err := WriteTrainCheckpoint(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.LittleEndian.Uint32(buf.Bytes()[:4]); got != ckptMagicV3 {
+			t.Fatalf("checkpoint wrote magic %#x, want AMC3", got)
+		}
+		ck, err := ReadTrainCheckpoint(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt == nil {
+			if ck.OptState != nil {
+				t.Fatalf("nil optimiser state came back as %+v", ck.OptState)
+			}
+			continue
+		}
+		statesEqual(t, ck.OptState, opt)
+	}
+}
+
+// amc2Fixture hand-builds an AMC2 checkpoint — the layout SGD-momentum
+// jobs wrote before every checkpoint became AMC3 — optionally with the
+// trailing RNG section.
+func amc2Fixture(t testing.TB, state, vel map[string]*tensor.Tensor, rng map[string][]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeHeader(&buf, ckptMagicV2); err != nil {
+		t.Fatal(err)
+	}
+	if err := binary.Write(&buf, binary.LittleEndian, uint32(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeString(&buf, "augmented-cv"); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(1) // hasOpt
+	if err := WriteStateDict(&buf, state); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteStateDict(&buf, vel); err != nil {
+		t.Fatal(err)
+	}
+	if rng != nil {
+		buf.WriteByte(1) // RNG flag
+		if err := WriteBytesDict(&buf, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestTrainCheckpointReadsLegacyAMC2 pins backwards compatibility with
+// AMC2 files: the SGD momentum buffers come back as an SGD state with
+// Step 0, the RNG cursors load, and a file written before the trailing
+// RNG section existed still loads.
+func TestTrainCheckpointReadsLegacyAMC2(t *testing.T) {
 	state := testBuffers("w", "b")
 	vel := testBuffers("w", "b")
 	rng := map[string][]byte{"orig.drop": {9, 8}}
-	ck := &TrainCheckpoint{
-		Epoch: 5, Kind: "augmented-cv", State: state,
-		OptState: &optim.State{Kind: optim.KindSGD, LR: 0.05, Buffers: vel},
-		RNG:      rng,
-	}
-	var got bytes.Buffer
-	if err := WriteTrainCheckpoint(&got, ck); err != nil {
-		t.Fatal(err)
-	}
-
-	// The historical AMC2 layout, written by hand.
-	var want bytes.Buffer
-	if err := writeHeader(&want, ckptMagicV2); err != nil {
-		t.Fatal(err)
-	}
-	if err := binary.Write(&want, binary.LittleEndian, uint32(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeString(&want, "augmented-cv"); err != nil {
-		t.Fatal(err)
-	}
-	want.WriteByte(1) // hasOpt
-	if err := WriteStateDict(&want, state); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteStateDict(&want, vel); err != nil {
-		t.Fatal(err)
-	}
-	want.WriteByte(1) // RNG flag
-	if err := WriteBytesDict(&want, rng); err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("SGD-momentum checkpoint no longer byte-identical to the AMC2 layout")
+	for _, withRNG := range []bool{true, false} {
+		var want map[string][]byte
+		if withRNG {
+			want = rng
+		}
+		ck, err := ReadTrainCheckpoint(bytes.NewReader(amc2Fixture(t, state, vel, want)))
+		if err != nil {
+			t.Fatalf("legacy AMC2 checkpoint (rng=%v) no longer loads: %v", withRNG, err)
+		}
+		if ck.Epoch != 5 || ck.Kind != "augmented-cv" {
+			t.Fatalf("epoch/kind mangled: %d %q", ck.Epoch, ck.Kind)
+		}
+		for name, src := range state {
+			if !ck.State[name].Equal(src) {
+				t.Fatalf("legacy entry %q not restored", name)
+			}
+		}
+		statesEqual(t, ck.OptState, &optim.State{Kind: optim.KindSGD, Buffers: vel})
+		if len(ck.RNG) != len(want) || !bytes.Equal(ck.RNG["orig.drop"], want["orig.drop"]) {
+			t.Fatalf("RNG section (rng=%v): got %v, want %v", withRNG, ck.RNG, want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package serialize
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,6 +28,11 @@ import (
 // something else.
 var ErrWrongFormat = errors.New("serialize: wrong format")
 
+// ErrCorrupt marks a stream of the right format whose contents are
+// invalid: an unsupported version, an out-of-range size or flag. A
+// truncated stream surfaces as io.EOF or io.ErrUnexpectedEOF instead.
+var ErrCorrupt = errors.New("serialize: corrupt stream")
+
 const (
 	tensorMagic  = 0x414d5431 // "AMT1"
 	dictMagic    = 0x414d4431 // "AMD1"
@@ -37,6 +43,11 @@ const (
 	maxElements  = 1 << 31
 	maxDictSize  = 1 << 20
 	maxBytesItem = 1 << 16
+	// readChunk bounds what a decoder allocates ahead of the bytes that
+	// back it: a size read from the stream is trusted only up to this
+	// many bytes (or entries), and anything larger grows as the data
+	// actually arrives, so a forged length cannot reserve gigabytes.
+	readChunk = 1 << 16
 )
 
 // WriteTensor encodes t.
@@ -53,11 +64,28 @@ func WriteTensor(w io.Writer, t *tensor.Tensor) error {
 
 // ReadTensor decodes a tensor written by WriteTensor.
 func ReadTensor(r io.Reader) (*tensor.Tensor, error) {
-	br := bufio.NewReader(r)
+	br := newReader(r)
 	if err := readHeader(br, tensorMagic); err != nil {
 		return nil, err
 	}
 	return readTensorBody(br)
+}
+
+// byteReader is what the decoders read from: buffered, so their many
+// small reads do not each reach the source.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// newReader buffers r for decoding. An in-memory *bytes.Reader is used as
+// is: it is buffered already, and its Len lets readTensorBody size the
+// payload by the bytes actually left.
+func newReader(r io.Reader) byteReader {
+	if br, ok := r.(*bytes.Reader); ok {
+		return br
+	}
+	return bufio.NewReader(r)
 }
 
 func writeHeader(w io.Writer, magic uint32) error {
@@ -80,7 +108,7 @@ func readHeader(r io.Reader, magic uint32) error {
 		return fmt.Errorf("serialize: read version: %w", err)
 	}
 	if v != version {
-		return fmt.Errorf("serialize: unsupported version %d", v)
+		return fmt.Errorf("serialize: unsupported version %d: %w", v, ErrCorrupt)
 	}
 	return nil
 }
@@ -112,7 +140,7 @@ func readTensorBody(r io.Reader) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("serialize: read rank: %w", err)
 	}
 	if rank > maxDims {
-		return nil, fmt.Errorf("serialize: tensor rank %d exceeds %d", rank, maxDims)
+		return nil, fmt.Errorf("serialize: tensor rank %d exceeds %d: %w", rank, maxDims, ErrCorrupt)
 	}
 	shape := make([]int, rank)
 	n := 1
@@ -122,18 +150,33 @@ func readTensorBody(r io.Reader) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("serialize: read dim: %w", err)
 		}
 		shape[i] = int(d)
+		if d > 0 && n > maxElements/int(d) {
+			return nil, fmt.Errorf("serialize: tensor shape %v exceeds %d elements: %w", shape[:i+1], maxElements, ErrCorrupt)
+		}
 		n *= int(d)
 	}
-	if n < 0 || n > maxElements {
-		return nil, fmt.Errorf("serialize: tensor with %d elements rejected", n)
+	// Read the payload before allocating the tensor, in chunks no larger
+	// than the bytes left in an in-memory input (readChunk for a stream),
+	// so a forged shape costs no more memory than the input holds.
+	chunkLen := readChunk
+	if lr, ok := r.(interface{ Len() int }); ok {
+		chunkLen = max(lr.Len(), 1)
 	}
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("serialize: read payload: %w", err)
+	chunks := make([][]byte, 0, 1)
+	for left := 4 * n; left > 0; left -= chunkLen {
+		c := make([]byte, min(left, chunkLen))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, fmt.Errorf("serialize: read payload: %w", err)
+		}
+		chunks = append(chunks, c)
 	}
 	out := tensor.New(shape...)
-	for i := range out.Data {
-		out.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	i := 0
+	for _, c := range chunks {
+		for j := 0; j < len(c); j += 4 {
+			out.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(c[j:]))
+			i++
+		}
 	}
 	return out, nil
 }
@@ -162,12 +205,12 @@ func WriteStateDict(w io.Writer, dict map[string]*tensor.Tensor) error {
 
 // ReadStateDict decodes a map written by WriteStateDict.
 func ReadStateDict(r io.Reader) (map[string]*tensor.Tensor, error) {
-	return readStateDictFrom(bufio.NewReader(r))
+	return readStateDictFrom(newReader(r))
 }
 
 // readStateDictFrom decodes a state dict without adding its own
 // buffering, reading exactly the dict's bytes — callers that decode
-// several sections from one stream (the AMC2 checkpoint reader) share a
+// several sections from one stream (the checkpoint reader) share a
 // single buffered reader across sections instead of letting a nested
 // bufio.Reader read ahead past the section boundary.
 func readStateDictFrom(r io.Reader) (map[string]*tensor.Tensor, error) {
@@ -179,9 +222,9 @@ func readStateDictFrom(r io.Reader) (map[string]*tensor.Tensor, error) {
 		return nil, err
 	}
 	if n > maxDictSize {
-		return nil, fmt.Errorf("serialize: dict with %d entries rejected", n)
+		return nil, fmt.Errorf("serialize: dict with %d entries rejected: %w", n, ErrCorrupt)
 	}
-	out := make(map[string]*tensor.Tensor, n)
+	out := make(map[string]*tensor.Tensor, min(n, readChunk/64))
 	for i := uint32(0); i < n; i++ {
 		name, err := readString(r)
 		if err != nil {
@@ -237,7 +280,7 @@ func WriteBytesDict(w io.Writer, dict map[string][]byte) error {
 
 // ReadBytesDict decodes a map written by WriteBytesDict.
 func ReadBytesDict(r io.Reader) (map[string][]byte, error) {
-	return readBytesDictFrom(bufio.NewReader(r))
+	return readBytesDictFrom(newReader(r))
 }
 
 // readBytesDictFrom decodes a bytes dict without adding buffering — like
@@ -252,9 +295,9 @@ func readBytesDictFrom(r io.Reader) (map[string][]byte, error) {
 		return nil, err
 	}
 	if n > maxDictSize {
-		return nil, fmt.Errorf("serialize: bytes dict with %d entries rejected", n)
+		return nil, fmt.Errorf("serialize: bytes dict with %d entries rejected: %w", n, ErrCorrupt)
 	}
-	out := make(map[string][]byte, n)
+	out := make(map[string][]byte, min(n, readChunk/64))
 	for i := uint32(0); i < n; i++ {
 		name, err := readString(r)
 		if err != nil {
@@ -265,7 +308,7 @@ func readBytesDictFrom(r io.Reader) (map[string][]byte, error) {
 			return nil, err
 		}
 		if ln > maxBytesItem {
-			return nil, fmt.Errorf("serialize: bytes entry %q length %d rejected", name, ln)
+			return nil, fmt.Errorf("serialize: bytes entry %q length %d rejected: %w", name, ln, ErrCorrupt)
 		}
 		b := make([]byte, ln)
 		if _, err := io.ReadFull(r, b); err != nil {
@@ -319,15 +362,15 @@ func ReadIntSlice(r io.Reader) ([]int, error) {
 		return nil, err
 	}
 	if n > maxElements {
-		return nil, fmt.Errorf("serialize: int slice with %d entries rejected", n)
+		return nil, fmt.Errorf("serialize: int slice with %d entries rejected: %w", n, ErrCorrupt)
 	}
-	out := make([]int, n)
-	for i := range out {
+	out := make([]int, 0, min(int(n), readChunk/8))
+	for len(out) < int(n) {
 		var v int64
 		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
 			return nil, err
 		}
-		out[i] = int(v)
+		out = append(out, int(v))
 	}
 	return out, nil
 }

@@ -306,11 +306,6 @@ func hyperFor(cfg TrainConfig, ro *runOptions, start int) cloudsim.Hyper {
 	if ro.schedule != nil {
 		h.Schedule = ro.schedule
 	}
-	// Declaring the OptimSpec capability here keeps local and remote
-	// Hyper values identical; the remote client would set it anyway.
-	if h.Optimizer != nil || h.Schedule != nil {
-		h.OptimSpec = true
-	}
 	return h
 }
 
